@@ -10,8 +10,9 @@
 // Three columns over the same generated corpus:
 //
 //   cold-open   buildDocumentState from source: parse + resolve + index
-//               freeze (the O(N^2) matrices, the BFS reachability tables,
-//               the CSR compactions) + the whole-corpus abstract-type solve
+//               freeze (the O(N^2) distance matrix, the BFS reachability
+//               tables, the CSR builds) + the whole-corpus abstract-type
+//               solve
 //   warm-load   loadSnapshot + documentFromSnapshot: validate checksums,
 //               re-parse the embedded source, adopt every frozen table out
 //               of the mapping, deserialize the solution
@@ -110,7 +111,7 @@ void writeCorpusSnapshot(const std::string &Text, const std::string &Path) {
     std::exit(1);
   }
   CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{});
+  Idx.freeze();
   AbsTypeSolution Solution = Idx.Infer.solve();
   std::string Error;
   if (!snapshot::writeSnapshot(Path, Text, Shape, Idx, Solution, Error)) {

@@ -48,8 +48,8 @@ private:
     CorpusGenerator Gen(Prof);
     Gen.generate(*P);
     Idx = std::make_unique<CompletionIndexes>(*P);
-    // Pre-warm every lazy cache so the microbenchmarks measure the
-    // steady-state lookup cost, not first-touch cache fills.
+    // Build every index table so the microbenchmarks measure the
+    // steady-state lookup cost, not table construction.
     Idx->freeze();
     Sites = harvestProgram(*P);
     for (const CallSiteInfo &CS : Sites.Calls) {
@@ -162,8 +162,8 @@ void BM_MethodIndexLookup(benchmark::State &State) {
                  ? F.TwoArgCall->Call->receiver()->type()
                  : F.TS->method(F.TwoArgCall->Call->method()).Owner;
   for (auto _ : State) {
-    // The indexed path: bucket union over the supertype chain (memoized,
-    // so this measures the steady-state lookup).
+    // The indexed path: the pre-merged bucket union over the supertype
+    // chain (one CSR window).
     benchmark::DoNotOptimize(F.Idx->Methods.candidatesForArgType(T));
   }
 }
@@ -195,8 +195,11 @@ BENCHMARK(BM_MethodScan_BruteForce);
 
 void BM_MethodIndexBuild(benchmark::State &State) {
   Fixture &F = Fixture::get();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(MethodIndex(*F.TS));
+  for (auto _ : State) {
+    MethodIndex Idx(*F.TS);
+    Idx.freeze();
+    benchmark::DoNotOptimize(Idx.candidateCount(0));
+  }
 }
 BENCHMARK(BM_MethodIndexBuild);
 

@@ -51,7 +51,7 @@ static int saveSnapshot(const std::string &Path, const Program &Generated) {
   }
 
   CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{});
+  Idx.freeze();
   AbsTypeSolution Solution = Idx.Infer.solve();
 
   std::string Error;

@@ -60,7 +60,7 @@ static int saveFrom(const std::string &SourcePath, const std::string &Out) {
 
   auto Start = std::chrono::steady_clock::now();
   CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{});
+  Idx.freeze();
   AbsTypeSolution Solution = Idx.Infer.solve();
   double FreezeMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - Start)

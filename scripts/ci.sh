@@ -29,9 +29,10 @@
 #      the fault-injection tests must reject corrupt images by returning
 #      an error, never by touching bytes outside the mapping. Then the
 #      chaos leg: the 10k-request socketpair chaos test re-run under
-#      several PETAL_FAULTS seeds, so every injection point (garbage
-#      frames, short reads, EINTR storms, snapshot corruption, build
-#      throws, overlay/freeze fallbacks) fires on fresh schedules while
+#      several PETAL_FAULTS seeds, so every one of the eight injection
+#      points (garbage frames, short reads, EINTR storms, snapshot
+#      truncation/corruption/mmap failure, build throws, the overlay
+#      fallback) fires on fresh schedules while
 #      ASan watches for the lifetime bugs a crash-recovery path would
 #      introduce.
 #   4. UndefinedBehaviorSanitizer (-DPETAL_SANITIZE=undefined): the whole
@@ -52,8 +53,8 @@
 #      off), each vs its committed snapshot. The tolerance is deliberately loose (50%) — CI machines
 #      are noisy and differ from the snapshot's hardware; the leg exists
 #      to catch order-of-magnitude regressions (a lock reintroduced on the
-#      query path, an index silently falling back to the lazy
-#      representation, an edit shape silently demoted to a full rebuild, a
+#      query path, the type system silently left on its lazy ancestor
+#      maps, an edit shape silently demoted to a full rebuild, a
 #      warm start silently degenerating into a cold build, an overlay open
 #      silently redoing base-corpus work), not 10% drift.
 #

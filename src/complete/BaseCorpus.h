@@ -49,7 +49,7 @@ struct BaseCorpus {
   // every overlay built over it regardless of teardown order.
   std::shared_ptr<TypeSystem> TS;
   std::shared_ptr<Program> P;
-  std::shared_ptr<CompletionIndexes> Idx; ///< frozen, every dense store built
+  std::shared_ptr<CompletionIndexes> Idx; ///< frozen over a dense-frozen TS
   std::shared_ptr<const AbsTypeSolution> Solution; ///< full-corpus solve
 
   /// Pins the snapshot file mapping when the base was adopted from one

@@ -12,8 +12,8 @@ using namespace petal;
 BatchExecutor::BatchExecutor(Program &P, CompletionIndexes &Idx,
                              size_t Threads)
     : P(P), Idx(Idx), Pool(Threads) {
-  // Shared lazily-filled caches are only safe under one thread; pre-warm
-  // them all before any worker can touch them.
+  // Build every index table before any worker can read them; the engines
+  // below then share them as immutable storage.
   Idx.freeze();
   Engines.reserve(Pool.numThreads());
   for (size_t W = 0; W != Pool.numThreads(); ++W)

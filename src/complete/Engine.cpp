@@ -56,7 +56,7 @@ CompletionIndexes::CompletionIndexes(Program &P, const CompletionIndexes &Prev)
          "over");
 }
 
-void CompletionIndexes::freeze(const FreezeOptions &Opts) {
+void CompletionIndexes::freeze() {
   // Reach is constructed with a reference to Members and consults it for
   // the whole lifetime of the indexes; enforce the declaration
   // (= construction / reverse-destruction) order at compile time. offsetof
@@ -75,28 +75,21 @@ void CompletionIndexes::freeze(const FreezeOptions &Opts) {
   if (SharedTypeGraph) {
     // The sharing constructor aliased an already-frozen set of type-graph
     // tables (asserted there), and the fresh Infer is immutable after
-    // construction — nothing left to compile. Skipping the warm/freeze
-    // pass is what makes an incremental document build cheap. (An overlay
-    // TypeSystem never dense-freezes — base×base queries go through the
-    // base's matrix — so its frozen member tables are expected without one.)
-    assert(TS.denseDistancesFrozen() || TS.baseLayer() || !Members.frozen());
+    // construction — nothing left to build. Skipping the table builds is
+    // what makes an incremental document build cheap.
+    assert(Members.frozen() && Methods.frozen() && Reach.frozen());
     Frozen = true;
     return;
   }
-  TS.warmRelationCaches();
-  Members.warmAll();
-  Methods.warmAll();
-  Reach.warmAll();
-  if (Opts.MaxDenseBytes != 0) {
-    // Compile the warmed caches into dense storage. Order matters only for
-    // speed: Reach.freeze() performs N² convertibility checks that become
-    // single int16 loads once the type system's matrix is in place, and it
-    // walks member edges, which the CSR layout serves linearly.
-    TS.freezeDenseDistances(Opts.MaxDenseBytes);
-    Members.freeze();
-    Methods.freeze();
-    Reach.freeze(Opts.MaxDenseBytes);
-  }
+  // Order matters: Reach's rows walk the member table and check
+  // convertibility, which is a single int16 load once the type system's
+  // matrix is in place. A corpus too large for that matrix (or an overlay,
+  // whose local types never get one) keeps the warmed ancestor maps.
+  if (!TS.freezeDenseDistances())
+    TS.warmRelationCaches();
+  Members.freeze();
+  Methods.freeze();
+  Reach.freeze();
   Frozen = true;
 }
 

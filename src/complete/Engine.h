@@ -41,29 +41,15 @@ namespace petal {
 
 struct BaseCorpus;
 
-/// Controls how CompletionIndexes::freeze() compiles the lazy caches into
-/// dense storage (see DESIGN.md, "Frozen index memory layout").
-struct FreezeOptions {
-  /// Byte budget for each family of dense TypeId×TypeId int16 matrices
-  /// (the type system's conversion distances, and the reachability index's
-  /// exact- and convertible-distance tables). Corpora whose matrices would
-  /// exceed the budget keep the warmed lazy path for that index instead.
-  /// 0 disables dense compilation entirely — freeze() then only warms the
-  /// lazy caches, which is the legacy behavior the equivalence tests
-  /// compare against.
-  size_t MaxDenseBytes = 256u << 20;
-};
-
 /// The shared, query-independent indexes: the method index (§4.2), the
 /// member-lookup cache, the reachability index, and the abstract type
 /// inference. Build once per corpus.
 ///
-/// Concurrency: several of the indexes populate caches lazily on first
-/// query, which is only safe single-threaded. Call freeze() once before
-/// sharing an instance across threads (BatchExecutor does this for you);
-/// afterwards every index read is a pure load from immutable storage —
-/// there is no lock anywhere on the post-freeze query read path. See
-/// DESIGN.md, "Concurrency model".
+/// Concurrency: freeze() builds every index table once, single-threaded
+/// (CompletionEngine's constructor and BatchExecutor call it for you; it
+/// is idempotent). Afterwards every index read is a pure load from
+/// immutable storage — there is no lock anywhere on the query read path.
+/// See DESIGN.md, "Concurrency model".
 ///
 /// Ownership: the four indexes are held by shared_ptr internally and
 /// exposed as references. The split exists for incremental document
@@ -92,36 +78,33 @@ struct CompletionIndexes {
   /// Overlay constructor: \p P is a document program resolved against
   /// \p BaseIn's symbol tables (its TypeSystem was built with the overlay
   /// TypeSystem constructor over BaseIn->TS). Builds overlay layers over
-  /// the base's frozen indexes; freeze() then compacts only the overlay
+  /// the base's frozen indexes; freeze() then builds only the overlay
   /// deltas. Defined in Engine.cpp (needs BaseCorpus's definition).
   CompletionIndexes(Program &P, std::shared_ptr<const BaseCorpus> BaseIn);
 
   /// Sharing constructor: adopts \p Prev's frozen type-graph tables and
   /// builds a fresh abstract-type inference over \p P. Requires \p Prev to
-  /// be frozen (sharing lazily-filling caches across documents would race)
-  /// and \p P to use the same TypeSystem instance \p Prev was built over —
-  /// the caller (the incremental session build) guarantees both. When
+  /// be frozen (the tables it aliases must already exist) and \p P to use
+  /// the same TypeSystem instance \p Prev was built over — the caller
+  /// (the incremental session build) guarantees both. When
   /// \p Prev is an overlay, the new instance shares the same base and the
   /// fresh inference extends the base solution again.
   CompletionIndexes(Program &P, const CompletionIndexes &Prev);
 
-  /// Eagerly populates every lazily filled cache (the type system's
-  /// ancestor distances, the member edges, the method-index supertype
-  /// unions, and the reachability distance maps), then — budget permitting
-  /// — compiles them into immutable dense tables: TypeId×TypeId int16
-  /// distance matrices, CSR member edges, and contiguous pre-merged
-  /// method-index spans. Idempotent; required before concurrent use,
-  /// harmless (and often useful — first-touch cost moves out of the
-  /// measured path) in single-threaded use.
-  void freeze() { freeze(FreezeOptions{}); }
-  void freeze(const FreezeOptions &Opts);
+  /// Builds every index table straight from the type graph: the type
+  /// system's TypeId×TypeId int16 distance matrix (when it fits
+  /// TypeSystem::DenseDistanceBudget; otherwise its warmed ancestor maps),
+  /// the CSR member edges, the pre-merged method-union spans, and the
+  /// reachability tables. Idempotent; required before concurrent use.
+  void freeze();
   bool frozen() const { return Frozen; }
 
   /// Marks the indexes frozen after the snapshot loader has installed
   /// mapped tables into every sub-index via their adoptFrozen hooks.
-  /// freeze() must NOT run on this path — it would redo the warm passes
-  /// whose absence is the whole point of warm-starting. Requires all four
-  /// dense stores to be populated already.
+  /// freeze() must NOT run on this path — it would rebuild the very tables
+  /// the snapshot supplies, which is the whole cost warm-starting avoids.
+  /// Requires the type system and all three index tables to be adopted
+  /// already.
   void adoptFrozenTables();
 
   /// True when this instance aliases a previous version's type-graph
@@ -213,14 +196,15 @@ struct Completion {
   const ScoreCard *Card = nullptr;
 };
 
-/// The completion engine. Holds shared indexes by reference; each call to
-/// complete() allocates result expressions in an internal arena that is
-/// reset on the next call, so results must be consumed (or printed) before
-/// the engine is reused.
+/// The completion engine. Holds shared indexes by reference (freezing them
+/// on construction if nobody has yet); each call to complete() allocates
+/// result expressions in an internal arena that is reset on the next call,
+/// so results must be consumed (or printed) before the engine is reused.
 class CompletionEngine {
 public:
-  CompletionEngine(Program &P, CompletionIndexes &Idx)
-      : P(P), Idx(Idx) {}
+  CompletionEngine(Program &P, CompletionIndexes &Idx) : P(P), Idx(Idx) {
+    Idx.freeze();
+  }
 
   /// Telemetry about one complete() call (see lastQueryStats()).
   struct QueryStats {

@@ -1,4 +1,4 @@
-//===- index/MemberCache.cpp - Cached lookup edges per type ---------------===//
+//===- index/MemberCache.cpp - Lookup edges per type ----------------------===//
 //
 // Part of the petal project, an open-source reproduction of "Type-Directed
 // Completion of Partial Expressions" (PLDI 2012).
@@ -7,59 +7,62 @@
 
 #include "index/MemberCache.h"
 
-#include <cassert>
-
 using namespace petal;
 
-void MemberCache::warmAll() const {
+void MemberCache::freeze() {
   if (frozen())
     return;
-  // Overlay: warm the local types only; the base layer was warmed before
-  // any overlay attached.
-  for (size_t T = NumBaseTypes; T != TS.numTypes(); ++T)
-    edges(static_cast<TypeId>(T));
-}
-
-void MemberCache::freeze() const {
-  if (frozen())
-    return;
-  warmAll();
 
   // In overlay mode the CSR covers local types only (slot T - NumBaseTypes);
   // base-type queries keep forwarding to the shared base arrays.
+  // visibleFields/visibleMethods run over the layered TypeSystem, so an
+  // overlay type's edges include its inherited base members in exactly the
+  // order a monolithic build would produce.
   size_t N = TS.numTypes() - NumBaseTypes;
-  std::vector<uint32_t> Offs(N + 1, 0);
-  size_t Total = 0;
-  for (size_t T = 0; T != N; ++T) {
-    Offs[T] = static_cast<uint32_t>(Total);
-    Total += Cache[T].size();
+  Offsets.assign(N + 1, 0);
+  FieldCounts.assign(N, 0);
+  EdgeData.clear();
+  for (size_t Slot = 0; Slot != N; ++Slot) {
+    TypeId T = static_cast<TypeId>(NumBaseTypes + Slot);
+    Offsets[Slot] = static_cast<uint32_t>(EdgeData.size());
+    for (FieldId F : TS.visibleFields(T)) {
+      const FieldInfo &FI = TS.field(F);
+      if (FI.IsStatic)
+        continue;
+      LookupEdge E;
+      E.IsField = true;
+      E.Field = F;
+      E.ResultType = FI.Type;
+      EdgeData.push_back(E);
+    }
+    FieldCounts[Slot] = EdgeData.size() - Offsets[Slot];
+    for (MethodId M : TS.visibleMethods(T)) {
+      const MethodInfo &MI = TS.method(M);
+      if (MI.IsStatic || !MI.Params.empty() || MI.ReturnType == TS.voidType())
+        continue;
+      LookupEdge E;
+      E.IsField = false;
+      E.Method = M;
+      E.ResultType = MI.ReturnType;
+      EdgeData.push_back(E);
+    }
   }
-  assert(Total <= UINT32_MAX && "member edge count overflows CSR offsets");
-  Offs[N] = static_cast<uint32_t>(Total);
+  assert(EdgeData.size() <= UINT32_MAX &&
+         "member edge count overflows CSR offsets");
+  Offsets[N] = static_cast<uint32_t>(EdgeData.size());
+  EdgeData.shrink_to_fit();
 
-  std::vector<LookupEdge> Data;
-  Data.reserve(Total);
-  for (size_t T = 0; T != N; ++T)
-    Data.insert(Data.end(), Cache[T].begin(), Cache[T].end());
-
-  EdgeData = std::move(Data);
-  Offsets = std::move(Offs);
   EdgeV = EdgeData.data();
   NumEdges = EdgeData.size();
   NumTypesFrozen = N;
-  // Publish OffV last: frozen() keys off it, and once it is non-null
-  // edges() never touches the lazy representation again.
+  // Publish OffV last: frozen() keys off it.
   OffV = Offsets.data();
-  Cache.clear();
-  Cache.shrink_to_fit();
-  Valid.clear();
-  Valid.shrink_to_fit();
 }
 
 void MemberCache::adoptFrozen(
     const LookupEdge *Edges, size_t EdgeCount, const uint32_t *Offs,
     size_t NumTypes, std::vector<size_t> FieldCountsIn,
-    std::shared_ptr<const void> KeepAliveHandle) const {
+    std::shared_ptr<const void> KeepAliveHandle) {
   assert(!frozen() && "member cache already frozen");
   assert(!BaseCache && "snapshot tables adopt into the base layer, not overlays");
   assert(NumTypes == TS.numTypes() &&
@@ -71,10 +74,6 @@ void MemberCache::adoptFrozen(
   NumTypesFrozen = NumTypes;
   KeepAlive = std::move(KeepAliveHandle);
   OffV = Offs;
-  Cache.clear();
-  Cache.shrink_to_fit();
-  Valid.clear();
-  Valid.shrink_to_fit();
 }
 
 Span<const LookupEdge> MemberCache::edges(TypeId T) const {
@@ -82,60 +81,15 @@ Span<const LookupEdge> MemberCache::edges(TypeId T) const {
   // members to a base type, so its edge list is exactly the base's.
   if (static_cast<size_t>(T) < NumBaseTypes)
     return BaseCache->edges(T);
+  assert(frozen() && "member cache queried before freeze()");
   size_t Slot = static_cast<size_t>(T) - NumBaseTypes;
-
-  if (frozen()) {
-    assert(Slot < NumTypesFrozen && "bad TypeId");
-    uint32_t B = OffV[Slot], E = OffV[Slot + 1];
-    return Span<const LookupEdge>(EdgeV + B, E - B);
-  }
-
-  size_t NumLocal = TS.numTypes() - NumBaseTypes;
-  if (Cache.size() < NumLocal) {
-    Cache.resize(NumLocal);
-    FieldCounts.resize(NumLocal, 0);
-    Valid.resize(NumLocal, false);
-  }
-  if (Valid[Slot])
-    return Cache[Slot];
-
-  // visibleFields/visibleMethods run over the layered TypeSystem, so an
-  // overlay type's edges include its inherited base members in exactly the
-  // order a monolithic build would produce.
-  std::vector<LookupEdge> Edges;
-  for (FieldId F : TS.visibleFields(T)) {
-    const FieldInfo &FI = TS.field(F);
-    if (FI.IsStatic)
-      continue;
-    LookupEdge E;
-    E.IsField = true;
-    E.Field = F;
-    E.ResultType = FI.Type;
-    Edges.push_back(E);
-  }
-  FieldCounts[Slot] = Edges.size();
-
-  for (MethodId M : TS.visibleMethods(T)) {
-    const MethodInfo &MI = TS.method(M);
-    if (MI.IsStatic || !MI.Params.empty() || MI.ReturnType == TS.voidType())
-      continue;
-    LookupEdge E;
-    E.IsField = false;
-    E.Method = M;
-    E.ResultType = MI.ReturnType;
-    Edges.push_back(E);
-  }
-
-  Cache[Slot] = std::move(Edges);
-  Valid[Slot] = true;
-  return Cache[Slot];
+  assert(Slot < NumTypesFrozen && "bad TypeId");
+  uint32_t B = OffV[Slot], E = OffV[Slot + 1];
+  return Span<const LookupEdge>(EdgeV + B, E - B);
 }
 
 size_t MemberCache::memoryBytes() const {
-  size_t Bytes = EdgeData.capacity() * sizeof(LookupEdge) +
-                 Offsets.capacity() * sizeof(uint32_t) +
-                 FieldCounts.capacity() * sizeof(size_t);
-  for (const auto &V : Cache)
-    Bytes += V.capacity() * sizeof(LookupEdge);
-  return Bytes;
+  return EdgeData.capacity() * sizeof(LookupEdge) +
+         Offsets.capacity() * sizeof(uint32_t) +
+         FieldCounts.capacity() * sizeof(size_t);
 }

@@ -1,4 +1,4 @@
-//===- index/MemberCache.h - Cached lookup edges per type -------*- C++ -*-===//
+//===- index/MemberCache.h - Lookup edges per type --------------*- C++ -*-===//
 //
 // Part of the petal project, an open-source reproduction of "Type-Directed
 // Completion of Partial Expressions" (PLDI 2012).
@@ -8,7 +8,7 @@
 /// \file
 /// For each type, the lookup steps a `.?f` / `.?m` suffix may take from a
 /// value of that type: instance fields/properties (including inherited) and,
-/// for the `m` forms, zero-argument non-void instance methods. Cached per
+/// for the `m` forms, zero-argument non-void instance methods. Tabled per
 /// type; shared by the completion engine's star expansion and the
 /// reachability index.
 ///
@@ -20,6 +20,7 @@
 #include "model/TypeSystem.h"
 #include "support/Span.h"
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -34,31 +35,31 @@ struct LookupEdge {
   TypeId ResultType = InvalidId;
 };
 
-/// Caches the lookup edges of every type. Field edges always precede
+/// The lookup edges of every type, in one CSR table: all edges contiguous,
+/// per-type [Offsets[T], Offsets[T+1]) windows. Field edges always precede
 /// method edges, so `.?f` consumers can stop at the first method edge.
 ///
-/// Two representations share one accessor: the lazy per-type vectors fill
-/// on first touch (single-threaded only), and freeze() — called by
-/// CompletionIndexes::freeze() — compacts everything into one CSR array
-/// (all edges contiguous, per-type [Offsets[T], Offsets[T+1]) windows).
-/// After freeze() every accessor is a pure read of immutable flat storage,
-/// safe for any number of concurrent readers, and a whole-frontier star
-/// expansion walks memory linearly instead of chasing per-type heap
-/// vectors. A frozen instance depends only on the TypeSystem it was built
-/// over, so incremental document rebuilds share it wholesale across
-/// versions whose type graph is unchanged (CompletionIndexes' sharing
-/// constructor); frozen() is the reuse precondition.
+/// freeze() — called by CompletionIndexes::freeze() — builds the table
+/// straight from the TypeSystem; adoptFrozen() installs one mapped from a
+/// snapshot. Before either the cache holds no table and its accessors
+/// assert. Afterwards every accessor is a pure read of immutable flat
+/// storage, safe for any number of concurrent readers, and a whole-frontier
+/// star expansion walks memory linearly. A frozen instance depends only on
+/// the TypeSystem it was built over, so incremental document rebuilds
+/// share it wholesale across versions whose type graph is unchanged
+/// (CompletionIndexes' sharing constructor); frozen() is the reuse
+/// precondition.
 /// An overlay MemberCache (base/overlay workspace, DESIGN.md §14) layers
-/// over a warmed base instance: base-type lookups forward to the shared
+/// over a frozen base instance: base-type lookups forward to the shared
 /// base storage (documents cannot add members to base types, so those edge
-/// lists are final), and only overlay types get local entries, indexed
-/// T - numBaseTypes(). Freezing an overlay compacts just the local edges.
+/// lists are final), and only overlay types get local rows, indexed
+/// T - numBaseTypes().
 class MemberCache {
 public:
   explicit MemberCache(const TypeSystem &TS) : TS(TS) {}
 
   /// Overlay constructor: \p BaseCacheIn was built over TS.baseLayer() and
-  /// warmed (or frozen), and answers every base-type lookup.
+  /// frozen, and answers every base-type lookup.
   MemberCache(const TypeSystem &TS, std::shared_ptr<const MemberCache> BaseCacheIn)
       : TS(TS), BaseCache(std::move(BaseCacheIn)),
         NumBaseTypes(TS.numBaseTypes()) {
@@ -69,20 +70,15 @@ public:
   /// methods), in deterministic declaration order.
   Span<const LookupEdge> edges(TypeId T) const;
 
-  /// Eagerly fills the edge cache of every type; idempotent.
-  void warmAll() const;
-
-  /// Compacts the per-type edge vectors into the CSR layout (warming any
-  /// still-unfilled entries first) and frees the lazy storage; idempotent.
-  void freeze() const;
+  /// Builds the CSR table of this layer's types; idempotent.
+  void freeze();
   bool frozen() const { return OffV != nullptr; }
 
   /// Number of leading field edges of edges(T).
   size_t numFieldEdges(TypeId T) const {
     if (static_cast<size_t>(T) < NumBaseTypes)
       return BaseCache->numFieldEdges(T);
-    if (!frozen())
-      edges(T);
+    assert(frozen() && "member cache queried before freeze()");
     return FieldCounts[T - NumBaseTypes];
   }
 
@@ -95,7 +91,7 @@ public:
   Span<const uint32_t> frozenOffsets() const {
     return Span<const uint32_t>(OffV, frozen() ? NumTypesFrozen + 1 : 0);
   }
-  /// Per-type leading-field-edge counts (frozen access only).
+  /// Per-type leading-field-edge counts.
   Span<const size_t> frozenFieldCounts() const { return FieldCounts; }
 
   /// Installs externally owned CSR arrays (the snapshot loader's
@@ -108,7 +104,7 @@ public:
   void adoptFrozen(const LookupEdge *Edges, size_t EdgeCount,
                    const uint32_t *Offs, size_t NumTypes,
                    std::vector<size_t> FieldCountsIn,
-                   std::shared_ptr<const void> KeepAliveHandle) const;
+                   std::shared_ptr<const void> KeepAliveHandle);
 
   /// Approximate heap bytes owned by this layer (the shared base is not
   /// re-counted).
@@ -120,23 +116,19 @@ private:
   /// covers. Local storage below is indexed T - NumBaseTypes.
   std::shared_ptr<const MemberCache> BaseCache;
   size_t NumBaseTypes = 0;
-  // Lazy (pre-freeze) representation.
-  mutable std::vector<std::vector<LookupEdge>> Cache;
-  mutable std::vector<bool> Valid;
-  // Frozen CSR representation: edges of type T are
+  // The CSR table: edges of type T are
   // EdgeData[Offsets[T] .. Offsets[T+1]). Readers go through the view
   // pointers, which alias the owned vectors (in-process freeze) or an
   // adopted snapshot mapping pinned by KeepAlive; OffV doubles as the
   // frozen() flag and is published last.
-  mutable std::vector<LookupEdge> EdgeData;
-  mutable std::vector<uint32_t> Offsets;
-  mutable const LookupEdge *EdgeV = nullptr;
-  mutable const uint32_t *OffV = nullptr;
-  mutable size_t NumEdges = 0;
-  mutable size_t NumTypesFrozen = 0;
-  mutable std::shared_ptr<const void> KeepAlive;
-  // Shared by both representations.
-  mutable std::vector<size_t> FieldCounts;
+  std::vector<LookupEdge> EdgeData;
+  std::vector<uint32_t> Offsets;
+  const LookupEdge *EdgeV = nullptr;
+  const uint32_t *OffV = nullptr;
+  size_t NumEdges = 0;
+  size_t NumTypesFrozen = 0;
+  std::shared_ptr<const void> KeepAlive;
+  std::vector<size_t> FieldCounts;
 };
 
 } // namespace petal

@@ -7,30 +7,30 @@
 
 #include "index/MethodIndex.h"
 
-#include <algorithm>
-#include <cassert>
-#include <deque>
-#include <unordered_set>
-
 using namespace petal;
 
-MethodIndex::MethodIndex(const TypeSystem &TS) : TS(TS) {
+/// Files methods [First, numMethods()) into \p Buckets, once per distinct
+/// call-parameter type, and lists them in \p All.
+static void bucketMethods(const TypeSystem &TS, size_t First,
+                          std::vector<std::vector<MethodId>> &Buckets,
+                          std::vector<MethodId> &All) {
   Buckets.resize(TS.numTypes());
-  All.reserve(TS.numMethods());
-  for (size_t M = 0; M != TS.numMethods(); ++M) {
+  All.reserve(TS.numMethods() - First);
+  for (size_t M = First; M != TS.numMethods(); ++M) {
     MethodId Id = static_cast<MethodId>(M);
     All.push_back(Id);
-    // Insert the method once per *distinct* parameter type.
-    std::unordered_set<TypeId> Seen;
     size_t N = TS.numCallParams(Id);
     for (size_t I = 0; I != N; ++I) {
       TypeId T = TS.callParamType(Id, I);
-      if (Seen.insert(T).second)
-        Buckets[T].push_back(Id);
+      std::vector<MethodId> &B = Buckets[T];
+      if (B.empty() || B.back() != Id)
+        B.push_back(Id);
     }
   }
-  UnionCache.resize(TS.numTypes());
-  UnionCacheValid.assign(TS.numTypes(), false);
+}
+
+MethodIndex::MethodIndex(const TypeSystem &TS) : TS(TS) {
+  bucketMethods(TS, 0, Buckets, All);
 }
 
 MethodIndex::MethodIndex(const TypeSystem &TS,
@@ -43,89 +43,93 @@ MethodIndex::MethodIndex(const TypeSystem &TS,
   // Bucket only this layer's methods; base methods stay in the shared base
   // buckets. Bucket vectors are still indexed by absolute TypeId (an
   // overlay method may well take base-typed parameters).
-  size_t NumBaseMethods = TS.numBaseMethods();
-  Buckets.resize(TS.numTypes());
-  All.reserve(TS.numMethods() - NumBaseMethods);
-  for (size_t M = NumBaseMethods; M != TS.numMethods(); ++M) {
-    MethodId Id = static_cast<MethodId>(M);
-    All.push_back(Id);
-    std::unordered_set<TypeId> Seen;
-    size_t N = TS.numCallParams(Id);
-    for (size_t I = 0; I != N; ++I) {
-      TypeId T = TS.callParamType(Id, I);
-      if (Seen.insert(T).second)
-        Buckets[T].push_back(Id);
+  bucketMethods(TS, TS.numBaseMethods(), Buckets, All);
+}
+
+void MethodIndex::freeze() {
+  if (frozen())
+    return;
+
+  // One row per local type: walk T and all transitive supertypes (BFS),
+  // merging their exact buckets. The BFS order makes results from closer
+  // types (lower type distance) appear first, which matches the paper's
+  // observation that "each method index visited gives progressively worse
+  // ranked results". In overlay mode each visited type's bucket is the
+  // base bucket followed by the overlay bucket — exactly the id-order
+  // bucket content a monolithic build would hold. The stamp arrays mark
+  // visited types and emitted methods of the current row (stamp = row + 1),
+  // so rows need no clearing and no hashing.
+  size_t N = Buckets.size();
+  size_t First = BaseIdx ? NumBaseTypes : 0;
+  std::vector<uint32_t> TypeStamp(N, 0);
+  std::vector<uint32_t> MethodStamp(TS.numMethods(), 0);
+  std::vector<TypeId> Work;
+  UnionOffsets.assign(1, 0);
+  UnionData.clear();
+  for (size_t T = First; T != N; ++T) {
+    uint32_t Stamp = static_cast<uint32_t>(T - First + 1);
+    auto Emit = [&](Span<const MethodId> Bucket) {
+      for (MethodId M : Bucket)
+        if (MethodStamp[M] != Stamp) {
+          MethodStamp[M] = Stamp;
+          UnionData.push_back(M);
+        }
+    };
+    Work.assign(1, static_cast<TypeId>(T));
+    TypeStamp[T] = Stamp;
+    for (size_t I = 0; I != Work.size(); ++I) {
+      TypeId Cur = Work[I];
+      if (BaseIdx)
+        Emit(BaseIdx->bucketSpan(Cur));
+      Emit(bucketSpan(Cur));
+      for (TypeId S : TS.immediateSupertypes(Cur))
+        if (TypeStamp[S] != Stamp) {
+          TypeStamp[S] = Stamp;
+          Work.push_back(S);
+        }
     }
+    assert(UnionData.size() <= UINT32_MAX &&
+           "method-union size overflows CSR offsets");
+    UnionOffsets.push_back(static_cast<uint32_t>(UnionData.size()));
   }
-  UnionCache.resize(TS.numTypes() - NumBaseTypes);
-  UnionCacheValid.assign(TS.numTypes() - NumBaseTypes, false);
-  AppCache.resize(NumBaseTypes);
-  AppCacheValid.assign(NumBaseTypes, false);
-}
+  UnionData.shrink_to_fit();
 
-void MethodIndex::warmAll() const {
-  if (frozen())
-    return;
   if (BaseIdx) {
-    for (size_t T = 0; T != NumBaseTypes; ++T)
-      overlayAppendage(static_cast<TypeId>(T));
-    for (size_t T = NumBaseTypes; T != TS.numTypes(); ++T)
-      overlayUnion(static_cast<TypeId>(T));
-    return;
+    // An overlay method joins base type T's candidates iff one of its
+    // call-parameter types S lies in T's supertype closure. The closure of
+    // a base type is sealed inside the base layer, so only base S qualify,
+    // and (for T != null) membership is exactly "td(T, S) is defined". The
+    // null literal is the one base type whose dense distance row (0 to
+    // every reference type) is *wider* than its closure ({null} itself —
+    // null has no supertype edges), so it gets no appendage.
+    AppOffsets.assign(1, 0);
+    AppData.clear();
+    for (size_t T = 0; T != NumBaseTypes; ++T) {
+      if (static_cast<TypeId>(T) != TS.nullType())
+        for (MethodId M : All)
+          for (size_t I = 0, NP = TS.numCallParams(M); I != NP; ++I) {
+            TypeId S = TS.callParamType(M, I);
+            if (static_cast<size_t>(S) < NumBaseTypes &&
+                TS.typeDistance(static_cast<TypeId>(T), S).has_value()) {
+              AppData.push_back(M);
+              break;
+            }
+          }
+      AppOffsets.push_back(static_cast<uint32_t>(AppData.size()));
+    }
+    AppData.shrink_to_fit();
   }
-  for (size_t T = 0; T != TS.numTypes(); ++T)
-    candidatesForArgType(static_cast<TypeId>(T));
-}
 
-namespace {
-/// Compacts per-slot vectors into CSR (Data, Offs) storage.
-void compactCsr(const std::vector<std::vector<MethodId>> &Slots,
-                std::vector<MethodId> &Data, std::vector<uint32_t> &Offs) {
-  size_t N = Slots.size();
-  Offs.assign(N + 1, 0);
-  size_t Total = 0;
-  for (size_t T = 0; T != N; ++T) {
-    Offs[T] = static_cast<uint32_t>(Total);
-    Total += Slots[T].size();
-  }
-  assert(Total <= UINT32_MAX && "method-union size overflows CSR offsets");
-  Offs[N] = static_cast<uint32_t>(Total);
-  Data.clear();
-  Data.reserve(Total);
-  for (size_t T = 0; T != N; ++T)
-    Data.insert(Data.end(), Slots[T].begin(), Slots[T].end());
-}
-} // namespace
-
-void MethodIndex::freeze() const {
-  if (frozen())
-    return;
-  warmAll();
-
-  if (BaseIdx)
-    compactCsr(AppCache, AppData, AppOffsets);
-  std::vector<uint32_t> Offs;
-  compactCsr(UnionCache, UnionData, Offs);
-  UnionOffsets = std::move(Offs);
   UnionV = UnionData.data();
   NumUnion = UnionData.size();
-  NumTypesFrozen = UnionCache.size();
-  // Publish UOffV last: frozen() keys off it, and once it is non-null
-  // candidatesForArgType never touches the lazy representation.
+  NumTypesFrozen = N - First;
+  // Publish UOffV last: frozen() keys off it.
   UOffV = UnionOffsets.data();
-  UnionCache.clear();
-  UnionCache.shrink_to_fit();
-  UnionCacheValid.clear();
-  UnionCacheValid.shrink_to_fit();
-  AppCache.clear();
-  AppCache.shrink_to_fit();
-  AppCacheValid.clear();
-  AppCacheValid.shrink_to_fit();
 }
 
 void MethodIndex::adoptFrozen(
     const MethodId *Data, size_t DataCount, const uint32_t *Offs,
-    size_t NumTypes, std::shared_ptr<const void> KeepAliveHandle) const {
+    size_t NumTypes, std::shared_ptr<const void> KeepAliveHandle) {
   assert(!frozen() && "method index already frozen");
   assert(!BaseIdx && "snapshot tables adopt into the base layer, not overlays");
   assert(NumTypes == TS.numTypes() &&
@@ -135,10 +139,6 @@ void MethodIndex::adoptFrozen(
   NumTypesFrozen = NumTypes;
   KeepAlive = std::move(KeepAliveHandle);
   UOffV = Offs;
-  UnionCache.clear();
-  UnionCache.shrink_to_fit();
-  UnionCacheValid.clear();
-  UnionCacheValid.shrink_to_fit();
 }
 
 MethodCandidates MethodIndex::exactBucket(TypeId T) const {
@@ -147,129 +147,26 @@ MethodCandidates MethodIndex::exactBucket(TypeId T) const {
   return MethodCandidates(bucketSpan(T));
 }
 
-Span<const MethodId> MethodIndex::unionSpan(TypeId T) const {
-  assert(!BaseIdx && "unionSpan is the monolithic accessor");
-  if (frozen()) {
-    if (T < 0 || static_cast<size_t>(T) >= NumTypesFrozen)
-      return Empty;
-    uint32_t B = UOffV[T], E = UOffV[static_cast<size_t>(T) + 1];
-    return Span<const MethodId>(UnionV + B, E - B);
-  }
-
-  if (T < 0 || static_cast<size_t>(T) >= Buckets.size())
-    return Empty;
-  if (UnionCacheValid[T])
-    return UnionCache[T];
-
-  // Walk T and all transitive supertypes (BFS), merging their exact
-  // buckets. The BFS order makes results from closer types (lower type
-  // distance) appear first, which matches the paper's observation that
-  // "each method index visited gives progressively worse ranked results".
-  std::vector<MethodId> Result;
-  std::unordered_set<TypeId> Visited;
-  std::unordered_set<MethodId> SeenMethods;
-  std::deque<TypeId> Work;
-  Work.push_back(T);
-  Visited.insert(T);
-  while (!Work.empty()) {
-    TypeId Cur = Work.front();
-    Work.pop_front();
-    for (MethodId M : Buckets[Cur])
-      if (SeenMethods.insert(M).second)
-        Result.push_back(M);
-    for (TypeId S : TS.immediateSupertypes(Cur))
-      if (Visited.insert(S).second)
-        Work.push_back(S);
-  }
-  UnionCache[T] = std::move(Result);
-  UnionCacheValid[T] = true;
-  return UnionCache[T];
-}
-
 Span<const MethodId> MethodIndex::overlayAppendage(TypeId T) const {
   assert(BaseIdx && static_cast<size_t>(T) < NumBaseTypes);
-  if (frozen()) {
-    uint32_t B = AppOffsets[T], E = AppOffsets[static_cast<size_t>(T) + 1];
-    return Span<const MethodId>(AppData.data() + B, E - B);
-  }
-  if (AppCacheValid[T])
-    return AppCache[T];
-
-  // An overlay method joins base type T's candidates iff one of its
-  // distinct call-parameter types S lies in T's supertype closure. The
-  // closure of a base type is sealed inside the base layer, so only base
-  // S qualify, and (for T != null) membership is exactly "td(T, S) is
-  // defined". The null literal is the one base type whose dense distance
-  // row (0 to every reference type) is *wider* than its closure ({null}
-  // itself — null has no supertype edges), so it gets no appendage.
-  std::vector<MethodId> Result;
-  if (T != TS.nullType()) {
-    for (MethodId M : All) {
-      std::unordered_set<TypeId> Seen;
-      size_t N = TS.numCallParams(M);
-      for (size_t I = 0; I != N; ++I) {
-        TypeId S = TS.callParamType(M, I);
-        if (!Seen.insert(S).second)
-          continue;
-        if (static_cast<size_t>(S) < NumBaseTypes &&
-            TS.typeDistance(T, S).has_value()) {
-          Result.push_back(M);
-          break;
-        }
-      }
-    }
-  }
-  AppCache[T] = std::move(Result);
-  AppCacheValid[T] = true;
-  return AppCache[T];
-}
-
-Span<const MethodId> MethodIndex::overlayUnion(TypeId T) const {
-  assert(BaseIdx && static_cast<size_t>(T) >= NumBaseTypes);
-  size_t Slot = static_cast<size_t>(T) - NumBaseTypes;
-  if (frozen()) {
-    assert(Slot < NumTypesFrozen && "bad TypeId");
-    uint32_t B = UOffV[Slot], E = UOffV[Slot + 1];
-    return Span<const MethodId>(UnionV + B, E - B);
-  }
-  if (UnionCacheValid[Slot])
-    return UnionCache[Slot];
-
-  // The monolithic BFS, with each visited type's bucket being the base
-  // bucket followed by the overlay bucket — which is exactly the id-order
-  // bucket content a monolithic build would hold.
-  std::vector<MethodId> Result;
-  std::unordered_set<TypeId> Visited;
-  std::unordered_set<MethodId> SeenMethods;
-  std::deque<TypeId> Work;
-  Work.push_back(T);
-  Visited.insert(T);
-  while (!Work.empty()) {
-    TypeId Cur = Work.front();
-    Work.pop_front();
-    for (MethodId M : BaseIdx->bucketSpan(Cur))
-      if (SeenMethods.insert(M).second)
-        Result.push_back(M);
-    for (MethodId M : bucketSpan(Cur))
-      if (SeenMethods.insert(M).second)
-        Result.push_back(M);
-    for (TypeId S : TS.immediateSupertypes(Cur))
-      if (Visited.insert(S).second)
-        Work.push_back(S);
-  }
-  UnionCache[Slot] = std::move(Result);
-  UnionCacheValid[Slot] = true;
-  return UnionCache[Slot];
+  assert(frozen() && "method index queried before freeze()");
+  uint32_t B = AppOffsets[T], E = AppOffsets[static_cast<size_t>(T) + 1];
+  return Span<const MethodId>(AppData.data() + B, E - B);
 }
 
 MethodCandidates MethodIndex::candidatesForArgType(TypeId T) const {
-  if (!BaseIdx)
-    return MethodCandidates(unionSpan(T));
+  assert(frozen() && "method index queried before freeze()");
+  if (!BaseIdx) {
+    if (T < 0 || static_cast<size_t>(T) >= NumTypesFrozen)
+      return MethodCandidates();
+    return MethodCandidates(unionSlot(static_cast<size_t>(T)));
+  }
   if (T < 0 || static_cast<size_t>(T) >= TS.numTypes())
     return MethodCandidates();
   if (static_cast<size_t>(T) < NumBaseTypes)
-    return MethodCandidates(BaseIdx->unionSpan(T), overlayAppendage(T));
-  return MethodCandidates(overlayUnion(T));
+    return MethodCandidates(BaseIdx->unionSlot(static_cast<size_t>(T)),
+                            overlayAppendage(T));
+  return MethodCandidates(unionSlot(static_cast<size_t>(T) - NumBaseTypes));
 }
 
 size_t MethodIndex::memoryBytes() const {
@@ -281,9 +178,5 @@ size_t MethodIndex::memoryBytes() const {
                  AppOffsets.capacity() * sizeof(uint32_t);
   for (const auto &B : Buckets)
     Bytes += B.capacity() * sizeof(MethodId);
-  for (const auto &U : UnionCache)
-    Bytes += U.capacity() * sizeof(MethodId);
-  for (const auto &A : AppCache)
-    Bytes += A.capacity() * sizeof(MethodId);
   return Bytes;
 }

@@ -108,11 +108,13 @@ private:
 
 /// Immutable method index built over a finished TypeSystem.
 ///
-/// The per-type supertype-union candidate lists start as lazily memoized
-/// heap vectors (single-threaded fills). freeze() — called by
-/// CompletionIndexes::freeze() — pre-merges every supertype chain into one
-/// contiguous CSR array with per-type [UnionOffsets[T], UnionOffsets[T+1])
-/// spans; afterwards every accessor is a lock-free read of immutable flat
+/// The constructor files every method into the exact buckets of its
+/// distinct call-parameter types. freeze() — called by
+/// CompletionIndexes::freeze() — then pre-merges every supertype chain
+/// into one contiguous CSR array with per-type [UnionOffsets[T],
+/// UnionOffsets[T+1]) spans; adoptFrozen() installs that array from a
+/// snapshot instead. Before either, candidatesForArgType asserts;
+/// afterwards every accessor is a lock-free read of immutable flat
 /// storage. Like the other type-graph indexes, a frozen instance reads
 /// nothing but its TypeSystem, so body-only document edits share it
 /// across versions via CompletionIndexes' sharing constructor.
@@ -120,9 +122,10 @@ private:
 /// In overlay mode (base/overlay workspace, DESIGN.md §14) the index holds
 /// only the document's methods: a base type's candidates are the shared
 /// base CSR span plus a small appendage of overlay methods reachable from
-/// that type, and an overlay type's candidates are a locally memoized full
-/// union over the layered supertype closure. Both are served through
-/// MethodCandidates, so the engine never sees the layering.
+/// that type (a second CSR over base types), and an overlay type's
+/// candidates are its full union over the layered supertype closure. Both
+/// are served through MethodCandidates, so the engine never sees the
+/// layering.
 class MethodIndex {
 public:
   explicit MethodIndex(const TypeSystem &TS);
@@ -138,15 +141,12 @@ public:
   /// union of the exact buckets of \p T and all its transitive supertypes
   /// (deduplicated; nearer-supertype buckets first in monolithic mode,
   /// base-then-overlay segments in overlay mode — same set either way).
-  /// Memoized per type; a pure flat-array read once frozen.
+  /// A pure flat-array read; requires freeze() or adoptFrozen().
   MethodCandidates candidatesForArgType(TypeId T) const;
 
-  /// Eagerly memoizes candidatesForArgType for every type; idempotent.
-  void warmAll() const;
-
-  /// Compacts the memoized union lists into the CSR layout (warming any
-  /// still-unfilled entries first) and frees the lazy storage; idempotent.
-  void freeze() const;
+  /// Builds the union CSR (and, in overlay mode, the appendage CSR) of
+  /// this layer's types; idempotent.
+  void freeze();
   bool frozen() const { return UOffV != nullptr; }
 
   /// The frozen CSR arrays: all pre-merged supertype-union candidate
@@ -168,10 +168,9 @@ public:
   /// O(types × supertype chain) part — come from the snapshot.
   void adoptFrozen(const MethodId *Data, size_t DataCount,
                    const uint32_t *Offs, size_t NumTypes,
-                   std::shared_ptr<const void> KeepAliveHandle) const;
+                   std::shared_ptr<const void> KeepAliveHandle);
 
-  /// Size of candidatesForArgType(T) without forcing full materialization
-  /// cost twice (it memoizes anyway; provided for readability).
+  /// Size of candidatesForArgType(T) (provided for readability).
   size_t candidateCount(TypeId T) const {
     return candidatesForArgType(T).size();
   }
@@ -190,15 +189,16 @@ public:
   size_t memoryBytes() const;
 
 private:
-  /// The monolithic / base-layer union accessor (CSR window or memoized
-  /// vector). Must not be called in overlay mode.
-  Span<const MethodId> unionSpan(TypeId T) const;
-  /// Overlay methods usable with an argument of base type \p T (lazy,
-  /// memoized; CSR after freeze).
+  /// The union CSR window of slot \p Slot (TypeId in monolithic mode,
+  /// T - NumBaseTypes in overlay mode).
+  Span<const MethodId> unionSlot(size_t Slot) const {
+    assert(frozen() && "method index queried before freeze()");
+    assert(Slot < NumTypesFrozen && "bad TypeId");
+    uint32_t B = UOffV[Slot], E = UOffV[Slot + 1];
+    return Span<const MethodId>(UnionV + B, E - B);
+  }
+  /// Overlay methods usable with an argument of base type \p T.
   Span<const MethodId> overlayAppendage(TypeId T) const;
-  /// Full layered union for overlay type \p T (lazy, memoized; CSR after
-  /// freeze), in monolithic BFS order.
-  Span<const MethodId> overlayUnion(TypeId T) const;
 
   Span<const MethodId> bucketSpan(TypeId T) const {
     if (T < 0 || static_cast<size_t>(T) >= Buckets.size())
@@ -213,28 +213,21 @@ private:
   /// Buckets are indexed by absolute TypeId (sized numTypes() in both
   /// modes) but hold only this layer's methods.
   std::vector<std::vector<MethodId>> Buckets;
-  // Lazy (pre-freeze) union representation. Monolithic: indexed by TypeId.
-  // Overlay: indexed T - NumBaseTypes (overlay types' full unions).
-  mutable std::vector<std::vector<MethodId>> UnionCache;
-  mutable std::vector<bool> UnionCacheValid;
-  // Overlay mode only: per-base-type appendages, indexed by TypeId < NumBaseTypes.
-  mutable std::vector<std::vector<MethodId>> AppCache;
-  mutable std::vector<bool> AppCacheValid;
-  // Frozen CSR representation: candidates of slot T are
+  // The union CSR: candidates of slot T are
   // UnionData[UnionOffsets[T] .. UnionOffsets[T+1]). Readers go through
   // the view pointers, which alias the owned vectors (in-process freeze)
   // or an adopted snapshot mapping pinned by KeepAlive; UOffV doubles as
   // the frozen() flag and is published last.
-  mutable std::vector<MethodId> UnionData;
-  mutable std::vector<uint32_t> UnionOffsets;
-  mutable const MethodId *UnionV = nullptr;
-  mutable const uint32_t *UOffV = nullptr;
-  mutable size_t NumUnion = 0;
-  mutable size_t NumTypesFrozen = 0;
-  // Overlay mode only: frozen appendage CSR over base types.
-  mutable std::vector<MethodId> AppData;
-  mutable std::vector<uint32_t> AppOffsets;
-  mutable std::shared_ptr<const void> KeepAlive;
+  std::vector<MethodId> UnionData;
+  std::vector<uint32_t> UnionOffsets;
+  const MethodId *UnionV = nullptr;
+  const uint32_t *UOffV = nullptr;
+  size_t NumUnion = 0;
+  size_t NumTypesFrozen = 0;
+  // Overlay mode only: appendage CSR over base types, indexed by TypeId.
+  std::vector<MethodId> AppData;
+  std::vector<uint32_t> AppOffsets;
+  std::shared_ptr<const void> KeepAlive;
   /// This layer's method ids in ascending order.
   std::vector<MethodId> All;
   std::vector<MethodId> Empty;

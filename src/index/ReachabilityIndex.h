@@ -27,31 +27,29 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace petal {
 
-/// Lazily computed per-source-type reachability: the minimum number of
-/// lookup steps from a value of one type to a value of another.
+/// Per-source-type reachability: the minimum number of lookup steps from a
+/// value of one type to a value implicitly convertible to another.
 ///
-/// Concurrency: the lazy representation (per-source hash maps, filled on
-/// first touch) is single-threaded. freeze() — called by
-/// CompletionIndexes::freeze() — compiles both queries into dense
-/// TypeId×TypeId int16 matrices (distance-to-exact-type and
-/// distance-to-convertible-target, one pair per edge set), after which
-/// every accessor is a branch-free load from immutable flat storage with
-/// no locking whatsoever. This retired the old (source,target)-pair-keyed
-/// hash memo and the shared_mutex that guarded it: the dense matrix *is*
-/// the fully enumerated pair space, so there is nothing left to memoize
-/// and nothing left to lock.
-/// In overlay mode (base/overlay workspace, DESIGN.md §14) the dense
-/// matrices cover only the document's types (one delta row per overlay
-/// type, each row spanning the full type population); base-source queries
-/// forward to the shared base index. Base-type closures are sealed inside
-/// the base layer — every lookup edge from a base type lands on a base
-/// type — so the only cross-layer answer is the null literal converting to
-/// overlay reference types.
+/// freeze() — called by CompletionIndexes::freeze() — fills one
+/// TypeId×TypeId int16 table per edge set (`.?*f` fields only, `.?*m`
+/// fields + zero-arg methods), one row per source type, each row by a BFS
+/// over the member edges into a reused scratch row; adoptFrozen() installs
+/// the same tables from a snapshot. Before either, the accessor asserts.
+/// Afterwards every query is a branch-free load from immutable flat
+/// storage with no locking whatsoever: the table *is* the fully enumerated
+/// (source, target) pair space, so there is nothing left to memoize and
+/// nothing left to lock.
+/// In overlay mode (base/overlay workspace, DESIGN.md §14) the tables
+/// cover only the document's types (one row per overlay type, each row
+/// spanning the full type population); base-source queries forward to the
+/// shared base index. Base-type closures are sealed inside the base layer —
+/// every lookup edge from a base type lands on a base type — so the only
+/// cross-layer answer is the null literal converting to overlay reference
+/// types.
 class ReachabilityIndex {
 public:
   ReachabilityIndex(const TypeSystem &TS, const MemberCache &Members,
@@ -59,7 +57,7 @@ public:
       : TS(TS), Members(Members), MaxDepth(MaxDepth) {}
 
   /// Overlay constructor: \p BaseReachIn was built over TS.baseLayer() and
-  /// dense-frozen; this instance computes delta rows for overlay types only.
+  /// frozen; this instance computes rows for overlay types only.
   ReachabilityIndex(const TypeSystem &TS, const MemberCache &Members,
                     std::shared_ptr<const ReachabilityIndex> BaseReachIn,
                     int MaxDepth = 8)
@@ -67,71 +65,48 @@ public:
         BaseReach(std::move(BaseReachIn)), NumBaseTypes(TS.numBaseTypes()) {
     assert(BaseReach && "overlay constructor requires a base index");
     assert(BaseReach->frozen() &&
-           "the base reachability index must be dense-frozen before overlays "
-           "attach (its lazy path mutates shared caches)");
+           "the base reachability index must be frozen before overlays "
+           "attach");
   }
 
   /// Minimum number of lookups (0 = the value itself) from a value of type
-  /// \p From to a value of exactly type \p To; nullopt if unreachable
-  /// within MaxDepth. \p MethodsAllowed selects the `.?*m` edge set
+  /// \p From to any value *implicitly convertible to* \p Target; nullopt if
+  /// none within MaxDepth. \p MethodsAllowed selects the `.?*m` edge set
   /// (fields + zero-arg methods) vs `.?*f` (fields only).
-  std::optional<int> minLookups(TypeId From, TypeId To,
-                                bool MethodsAllowed) const;
-
-  /// Minimum number of lookups from \p From to any value *implicitly
-  /// convertible to* \p Target; nullopt if none within MaxDepth.
   std::optional<int> minLookupsToConvertible(TypeId From, TypeId Target,
                                              bool MethodsAllowed) const;
 
-  /// The full distance map from \p From (type -> min lookups).
-  const std::unordered_map<TypeId, int> &reachableFrom(TypeId From,
-                                                       bool MethodsAllowed) const;
-
-  /// Eagerly computes the distance map of every type for both edge sets;
-  /// idempotent. Requires the MemberCache to be warm (or warms it as a
-  /// side effect of the BFS).
-  void warmAll() const;
-
-  /// Compiles the lazy caches into the dense matrices described in the
-  /// class comment. Returns false (leaving the lazy path in place) when
-  /// the four N×N int16 matrices would exceed \p MaxDenseBytes; idempotent.
-  /// Once frozen the index is a pure function of the TypeSystem and the
-  /// (equally frozen) MemberCache, which is what allows incremental
-  /// document rebuilds to share it across versions.
-  bool freeze(size_t MaxDenseBytes) const;
+  /// Builds both tables for this layer's source types; idempotent.
+  /// Requires the MemberCache to be frozen. Once frozen the index is a
+  /// pure function of the TypeSystem and the MemberCache, which is what
+  /// allows incremental document rebuilds to share it across versions.
+  void freeze();
   bool frozen() const { return DenseN != 0; }
 
-  /// The frozen minLookups matrix for one edge set, flat row-major
-  /// (numTypes()² int16 in monolithic mode, one row per overlay type in
-  /// overlay mode; sentinel -1); empty before freeze().
-  /// Snapshot-writer access (base layer only; an overlay is never
-  /// snapshotted).
-  Span<const int16_t> denseDistTable(bool MethodsAllowed) const {
-    return Span<const int16_t>(DistV[MethodsAllowed ? 1 : 0],
-                               (DenseN - NumBaseTypes) * DenseN);
-  }
-  /// Same for the minLookupsToConvertible matrix.
+  /// The frozen table for one edge set, flat row-major (numTypes()² int16
+  /// in monolithic mode, one row per overlay type in overlay mode;
+  /// sentinel -1); empty before freeze(). Snapshot-writer access (base
+  /// layer only; an overlay is never snapshotted).
   Span<const int16_t> denseConvTable(bool MethodsAllowed) const {
     return Span<const int16_t>(ConvV[MethodsAllowed ? 1 : 0],
                                (DenseN - NumBaseTypes) * DenseN);
   }
 
-  /// Installs the four externally owned matrices (the snapshot loader's
+  /// Installs the two externally owned tables (the snapshot loader's
   /// zero-copy path; each pointer aims into the read-only mapping
-  /// \p KeepAlive pins, fields-only tables first). Same contract as
+  /// \p KeepAlive pins). Same contract as
   /// TypeSystem::adoptDenseDistances: \p N must equal the TypeSystem's
   /// type count and the tables must have been computed over identical
   /// source, which the snapshot's content hashes guarantee.
-  void adoptFrozen(const int16_t *DistFields, const int16_t *DistMethods,
-                   const int16_t *ConvFields, const int16_t *ConvMethods,
-                   size_t N, std::shared_ptr<const void> KeepAlive) const;
+  void adoptFrozen(const int16_t *ConvFields, const int16_t *ConvMethods,
+                   size_t N, std::shared_ptr<const void> KeepAlive);
 
   /// Approximate heap bytes owned by this layer (the shared base is not
   /// re-counted).
   size_t memoryBytes() const;
 
 private:
-  /// Sentinel for "not reachable within MaxDepth" in the dense matrices.
+  /// Sentinel for "not reachable within MaxDepth" in the tables.
   /// MaxDepth is tiny (default 8), so real distances always fit int16.
   static constexpr int16_t NoReach = -1;
 
@@ -143,20 +118,15 @@ private:
   /// mode); every row still spans the full DenseN-wide type population.
   std::shared_ptr<const ReachabilityIndex> BaseReach;
   size_t NumBaseTypes = 0;
-  // Index 0: fields only; index 1: fields + methods.
-  mutable std::unordered_map<TypeId, std::unordered_map<TypeId, int>>
-      Cache[2];
-  // Frozen dense representation, row-major (From-NumBaseTypes)*DenseN+To.
-  // DistM answers minLookups, ConvM answers minLookupsToConvertible. DenseN
-  // is published last so frozen() only reads fully-built matrices. Readers
-  // go through the view pointers, which alias the owned vectors (in-process
-  // freeze) or an adopted snapshot mapping pinned by KeepAlive.
-  mutable std::vector<int16_t> DistM[2];
-  mutable std::vector<int16_t> ConvM[2];
-  mutable const int16_t *DistV[2] = {nullptr, nullptr};
-  mutable const int16_t *ConvV[2] = {nullptr, nullptr};
-  mutable size_t DenseN = 0;
-  mutable std::shared_ptr<const void> KeepAlive;
+  // The tables, row-major (From-NumBaseTypes)*DenseN+Target; index 0:
+  // fields only, index 1: fields + methods. DenseN is published last so
+  // frozen() only reads fully-built tables. Readers go through the view
+  // pointers, which alias the owned vectors (in-process freeze) or an
+  // adopted snapshot mapping pinned by KeepAlive.
+  std::vector<int16_t> ConvM[2];
+  const int16_t *ConvV[2] = {nullptr, nullptr};
+  size_t DenseN = 0;
+  std::shared_ptr<const void> KeepAlive;
 };
 
 } // namespace petal

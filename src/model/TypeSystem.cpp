@@ -362,7 +362,7 @@ void TypeSystem::warmRelationCaches() const {
     ancestorDistances(static_cast<TypeId>(NumBaseTypes + T));
 }
 
-bool TypeSystem::freezeDenseDistances(size_t MaxBytes) const {
+bool TypeSystem::freezeDenseDistances() const {
   if (DenseN != 0)
     return true; // idempotent
   // An overlay never builds its own N×N matrix: base×base queries read the
@@ -371,7 +371,7 @@ bool TypeSystem::freezeDenseDistances(size_t MaxBytes) const {
   if (Base)
     return false;
   size_t N = Types.size();
-  if (N == 0 || N * N * sizeof(int16_t) > MaxBytes)
+  if (N == 0 || N * N * sizeof(int16_t) > DenseDistanceBudget)
     return false; // fallback: lazy hash maps (warm them instead)
 
   warmRelationCaches();

@@ -321,15 +321,19 @@ public:
   /// CompletionIndexes::freeze(); idempotent.
   void warmRelationCaches() const;
 
+  /// Byte budget of the dense distance matrix: 256 MiB, i.e. dense up to
+  /// about 11.6k types.
+  static constexpr size_t DenseDistanceBudget = size_t(256) << 20;
+
   /// Compiles the lazy ancestor-distance maps into a dense TypeId×TypeId
   /// int16 matrix (sentinel -1 = no implicit conversion), after which
   /// typeDistance / implicitlyConvertible / operandDistance are single
   /// array reads with no hashing and no pointer chasing. Skipped (returns
-  /// false) when numTypes()² entries would exceed \p MaxBytes — the lazy
-  /// hash-map path then stays in effect, which is still lock-free after
-  /// warmRelationCaches(). Idempotent; the model must not be mutated
-  /// afterwards (asserted by the mutators).
-  bool freezeDenseDistances(size_t MaxBytes) const;
+  /// false) for an overlay, and when numTypes()² entries would exceed
+  /// DenseDistanceBudget — the lazy hash-map path then stays in effect,
+  /// which is still lock-free after warmRelationCaches(). Idempotent; the
+  /// model must not be mutated afterwards (asserted by the mutators).
+  bool freezeDenseDistances() const;
   bool denseDistancesFrozen() const { return DenseN != 0; }
 
   /// The frozen dense distance matrix as flat row-major storage

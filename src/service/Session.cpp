@@ -61,7 +61,7 @@ static bool tryIncrementalBuild(DocumentState &Doc, const SynFile &File,
   Doc.P = std::move(P);
   Doc.Base = Prev.Base;
   Doc.Idx = std::make_shared<CompletionIndexes>(*Doc.P, *Prev.Idx);
-  Doc.Idx->freeze(FreezeOptions{}); // no-op compile: tables are shared
+  Doc.Idx->freeze(); // no-op: the tables are shared
   Doc.Exec = std::make_shared<BatchExecutor>(*Doc.P, *Doc.Idx, DocThreads);
   if (Doc.Shape.CodeHash == Prev.Shape.CodeHash) {
     // Token-identical text: the whole-corpus abstract-type solution is a
@@ -110,25 +110,13 @@ static bool runFullBuild(DocumentState &Doc, const SynFile &File,
   }
   Doc.Idx = Base ? std::make_shared<CompletionIndexes>(*Doc.P, Base)
                  : std::make_shared<CompletionIndexes>(*Doc.P);
-  // Freeze explicitly at document build time: per-document corpora are
-  // small, so the dense distance matrices always fit the default budget,
-  // and every query this document serves — at any DocThreads — then runs
-  // against lock-free flat tables. (The executor would freeze anyway;
-  // this keeps the full freeze cost inside BuildMillis and makes the
-  // dense-mode decision visible here.) Computing the shared
+  // Build the index tables explicitly at document build time, so every
+  // query this document serves — at any DocThreads — runs against
+  // lock-free flat tables. (The executor would freeze anyway; this keeps
+  // the table build inside BuildMillis.) Computing the shared
   // abstract-type solution moves that cost out of the first query's
   // latency too.
-  FreezeOptions FO{};
-  // Fault: pretend the dense budget is exhausted, exercising the lazy
-  // warmed-cache fallback freeze() already supports. Only safe where the
-  // lazy path is actually legal: a monolithic document on a serial
-  // executor (lazy caches fill on first query, single-threaded only).
-  if (!Base && DocThreads == 1 && FaultInjector::armed() &&
-      FaultInjector::instance().fire(Fault::FreezeDenseBudget)) {
-    FaultInjector::instance().noteRecovered(Fault::FreezeDenseBudget);
-    FO.MaxDenseBytes = 0;
-  }
-  Doc.Idx->freeze(FO);
+  Doc.Idx->freeze();
   Doc.Exec = std::make_shared<BatchExecutor>(*Doc.P, *Doc.Idx, DocThreads);
   Doc.Exec->fullSolution();
   return true;

@@ -28,10 +28,6 @@ const char *snapshot::sectionKindName(uint32_t Kind) {
     return "sourceText";
   case SecTypeDist:
     return "typeDist";
-  case SecReachDistF:
-    return "reachDistFields";
-  case SecReachDistM:
-    return "reachDistMethods";
   case SecReachConvF:
     return "reachConvFields";
   case SecReachConvM:
@@ -75,10 +71,9 @@ bool snapshot::writeSnapshot(const std::string &Path,
                              const AbsTypeSolution &Solution,
                              std::string &Error) {
   const TypeSystem &TS = Idx.typeSystem();
-  if (!Idx.frozen() || !TS.denseDistancesFrozen() || !Idx.Members.frozen() ||
-      !Idx.Methods.frozen() || !Idx.Reach.frozen()) {
-    Error = "snapshot: corpus is not fully frozen (dense tables missing); "
-            "freeze() with a sufficient MaxDenseBytes budget first";
+  if (!Idx.frozen() || !TS.denseDistancesFrozen()) {
+    Error = "snapshot: corpus is not fully frozen (freeze() first), or has "
+            "too many types for the dense distance matrix";
     return false;
   }
   if (Solution.parents().size() != Idx.Infer.numVars()) {
@@ -109,8 +104,6 @@ bool snapshot::writeSnapshot(const std::string &Path,
   std::vector<uint64_t> FieldCounts64(FC.begin(), FC.end());
 
   Span<const int16_t> TypeDist = TS.denseDistanceTable();
-  Span<const int16_t> RDistF = Idx.Reach.denseDistTable(false);
-  Span<const int16_t> RDistM = Idx.Reach.denseDistTable(true);
   Span<const int16_t> RConvF = Idx.Reach.denseConvTable(false);
   Span<const int16_t> RConvM = Idx.Reach.denseConvTable(true);
   Span<const uint32_t> MemberOffs = Idx.Members.frozenOffsets();
@@ -126,8 +119,6 @@ bool snapshot::writeSnapshot(const std::string &Path,
   const Payload Payloads[] = {
       {SecSourceText, SourceText.data(), SourceText.size()},
       {SecTypeDist, TypeDist.data(), TypeDist.size() * sizeof(int16_t)},
-      {SecReachDistF, RDistF.data(), RDistF.size() * sizeof(int16_t)},
-      {SecReachDistM, RDistM.data(), RDistM.size() * sizeof(int16_t)},
       {SecReachConvF, RConvF.data(), RConvF.size() * sizeof(int16_t)},
       {SecReachConvM, RConvM.data(), RConvM.size() * sizeof(int16_t)},
       {SecMemberOffsets, MemberOffs.data(),
@@ -338,7 +329,7 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
     return nullptr;
 
   // Every kind must appear exactly once.
-  const SectionEntry *Secs[13] = {};
+  const SectionEntry *Secs[SecSolution + 1] = {};
   for (uint32_t K = SecSourceText; K <= SecSolution; ++K) {
     const SectionEntry *S = findSection(Table, K);
     if (!S) {
@@ -390,8 +381,7 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
   // Shape-check every table against the resolved corpus before adoption.
   size_t MatrixBytes = N * N * sizeof(int16_t);
   for (uint32_t K :
-       {SecTypeDist, SecReachDistF, SecReachDistM, SecReachConvF,
-        SecReachConvM})
+       {SecTypeDist, SecReachConvF, SecReachConvM})
     if (Secs[K]->Size != MatrixBytes) {
       Error = std::string("snapshot: section '") + sectionKindName(K) +
               "' has the wrong size for this corpus";
@@ -455,8 +445,6 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
       reinterpret_cast<const int16_t *>(Data + Secs[SecTypeDist]->Offset), N,
       File);
   Snap->Idx->Reach.adoptFrozen(
-      reinterpret_cast<const int16_t *>(Data + Secs[SecReachDistF]->Offset),
-      reinterpret_cast<const int16_t *>(Data + Secs[SecReachDistM]->Offset),
       reinterpret_cast<const int16_t *>(Data + Secs[SecReachConvF]->Offset),
       reinterpret_cast<const int16_t *>(Data + Secs[SecReachConvM]->Offset),
       N, File);
@@ -489,8 +477,7 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
 //===----------------------------------------------------------------------===//
 
 std::shared_ptr<const BaseCorpus>
-petal::baseCorpusFromSource(const std::string &Source, std::string &Error,
-                            const FreezeOptions &Opts) {
+petal::baseCorpusFromSource(const std::string &Source, std::string &Error) {
   auto Start = std::chrono::steady_clock::now();
   DiagnosticEngine Diags;
   SynFile File;
@@ -518,14 +505,16 @@ petal::baseCorpusFromSource(const std::string &Source, std::string &Error,
   }
 
   Base->Idx = std::make_shared<CompletionIndexes>(*Base->P);
-  Base->Idx->freeze(Opts);
-  if (!Base->TS->denseDistancesFrozen() || !Base->Idx->Reach.frozen()) {
-    // Overlays read the base through its dense matrices only; the lazy
-    // fallbacks mutate caches that would then be shared across session
-    // threads. Refuse rather than build an unshareable base.
-    Error = "base corpus exceeds the dense freeze budget (" +
-            std::to_string(Opts.MaxDenseBytes) +
-            " bytes); raise FreezeOptions::MaxDenseBytes";
+  Base->Idx->freeze();
+  if (!Base->TS->denseDistancesFrozen()) {
+    // Overlays answer base×base relation queries from the base's dense
+    // matrix only. Refuse rather than build a base they cannot read.
+    size_t N = Base->TS->numTypes();
+    Error = "base corpus has " + std::to_string(N) +
+            " types; its type distance matrix (" +
+            std::to_string(N * N * sizeof(int16_t)) +
+            " bytes) exceeds the fixed TypeSystem::DenseDistanceBudget of " +
+            std::to_string(TypeSystem::DenseDistanceBudget) + " bytes";
     return nullptr;
   }
   Base->Solution = std::make_shared<AbsTypeSolution>(Base->Idx->Infer.solve());

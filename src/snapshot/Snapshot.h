@@ -11,9 +11,9 @@
 /// petal_snapshot_tool --from) and mapped read-only by any number of petald
 /// processes afterwards (petal_serve --snapshot). Loading skips everything
 /// that makes a cold start expensive — the relation-cache warm-up, the O(N²)
-/// dense distance matrices, the four reachability BFS matrices, the member
-/// and method-union CSR compactions, and the whole-corpus abstract-type
-/// solve — by adopting those tables straight out of the file mapping
+/// dense distance matrix, the two reachability BFS tables, the member and
+/// method-union CSR builds, and the whole-corpus abstract-type solve — by
+/// adopting those tables straight out of the file mapping
 /// (zero-copy; the indexes pin the mapping via shared_ptr keep-alives).
 ///
 /// What the file does NOT contain is the AST: the Program and the
@@ -45,8 +45,9 @@ namespace petal {
 namespace snapshot {
 
 /// Bumped on any incompatible layout change; a mismatch makes the loader
-/// refuse (the caller falls back to a full build).
-inline constexpr uint32_t FormatVersion = 1;
+/// refuse (the caller falls back to a full build). Version 2 dropped the
+/// two exact-type reachability matrices, which no query read.
+inline constexpr uint32_t FormatVersion = 2;
 
 /// First eight bytes of every snapshot file.
 inline constexpr char Magic[8] = {'P', 'E', 'T', 'A', 'L', 'S', 'N', 'P'};
@@ -86,16 +87,14 @@ static_assert(sizeof(Header) == 88, "snapshot header layout drifted");
 enum SectionKind : uint32_t {
   SecSourceText = 1,   ///< the corpus source (bytes, not NUL-terminated)
   SecTypeDist = 2,     ///< TypeSystem dense distances, N²×int16
-  SecReachDistF = 3,   ///< reachability minLookups, fields-only, N²×int16
-  SecReachDistM = 4,   ///< reachability minLookups, fields+methods
-  SecReachConvF = 5,   ///< minLookupsToConvertible, fields-only
-  SecReachConvM = 6,   ///< minLookupsToConvertible, fields+methods
-  SecMemberOffsets = 7,    ///< member CSR offsets, (N+1)×uint32
-  SecMemberEdges = 8,      ///< member CSR payload, E×LookupEdge
-  SecMemberFieldCounts = 9, ///< leading-field-edge counts, N×uint64
-  SecUnionOffsets = 10,    ///< method-union CSR offsets, (N+1)×uint32
-  SecUnionData = 11,       ///< method-union CSR payload, U×MethodId
-  SecSolution = 12,        ///< abstract-type solution parents, V×uint32
+  SecReachConvF = 3,   ///< minLookupsToConvertible, fields-only, N²×int16
+  SecReachConvM = 4,   ///< minLookupsToConvertible, fields+methods
+  SecMemberOffsets = 5,    ///< member CSR offsets, (N+1)×uint32
+  SecMemberEdges = 6,      ///< member CSR payload, E×LookupEdge
+  SecMemberFieldCounts = 7, ///< leading-field-edge counts, N×uint64
+  SecUnionOffsets = 8,     ///< method-union CSR offsets, (N+1)×uint32
+  SecUnionData = 9,        ///< method-union CSR payload, U×MethodId
+  SecSolution = 10,        ///< abstract-type solution parents, V×uint32
 };
 
 /// One entry of the section table (follows the header, NumSections rows).
@@ -107,9 +106,9 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 24, "section entry layout drifted");
 
-/// Serializes a fully frozen corpus. \p Idx must be frozen with every dense
-/// store populated (the default FreezeOptions guarantee this for any corpus
-/// whose matrices fit the budget), \p Solution must be the full-corpus
+/// Serializes a fully frozen corpus. \p Idx must be frozen over a type
+/// system whose dense distance matrix fits
+/// TypeSystem::DenseDistanceBudget, \p Solution must be the full-corpus
 /// solve with Idx.Infer.numVars() variables, and \p Shape must be
 /// shapeOfFile() of (the parse of) \p SourceText. Returns false with a
 /// description in \p Error on I/O failure or unmet preconditions.
@@ -162,13 +161,12 @@ const char *sectionKindName(uint32_t Kind);
 
 /// Parses, resolves, freezes, and solves \p Source as a base/overlay
 /// workspace's shared base layer (complete/BaseCorpus.h). Fails — null with
-/// a reason in \p Error — on parse/resolve errors, and also when the corpus
-/// exceeds \p Opts' dense budget: overlays answer base-layer queries from
-/// the base's dense matrices, and falling back to the base's lazy caches
-/// would mutate shared state under concurrent readers.
+/// a reason in \p Error — on parse/resolve errors, and also when the
+/// corpus's type distance matrix exceeds TypeSystem::DenseDistanceBudget:
+/// overlays answer base×base relation queries from the base's dense
+/// matrix.
 std::shared_ptr<const BaseCorpus>
-baseCorpusFromSource(const std::string &Source, std::string &Error,
-                     const FreezeOptions &Opts = {});
+baseCorpusFromSource(const std::string &Source, std::string &Error);
 
 /// Wraps a loaded snapshot as a base layer, zero-copy: the snapshot's
 /// mapped TypeSystem, frozen tables, and deserialized solution become the

@@ -55,9 +55,8 @@ enum class Fault : unsigned {
   SnapshotMmapFail,       ///< mmap is unavailable; buffered read instead
   BuildThrow,             ///< a document build throws mid-flight
   OverlayBuild,           ///< an overlay build fails before completion
-  FreezeDenseBudget,      ///< the dense freeze budget is exhausted
 };
-inline constexpr unsigned NumFaults = 9;
+inline constexpr unsigned NumFaults = 8;
 
 inline const char *faultName(Fault F) {
   switch (F) {
@@ -69,7 +68,6 @@ inline const char *faultName(Fault F) {
   case Fault::SnapshotMmapFail: return "snapshot-mmap";
   case Fault::BuildThrow: return "build";
   case Fault::OverlayBuild: return "overlay";
-  case Fault::FreezeDenseBudget: return "freeze-budget";
   }
   return "unknown";
 }

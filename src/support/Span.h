@@ -7,11 +7,10 @@
 ///
 /// \file
 /// A minimal non-owning view over a contiguous range, used by the frozen
-/// index accessors: after CompletionIndexes::freeze() compacts the member
-/// edges and method-index buckets into CSR arrays, per-type lookups return
-/// a Span into the shared flat storage instead of a reference to a
-/// per-type heap vector. Unlike std::span it asserts on out-of-range
-/// element access, matching the rest of the support layer.
+/// index accessors: CompletionIndexes::freeze() builds the member edges
+/// and method-index unions as CSR arrays, and per-type lookups return a
+/// Span into that shared flat storage. Unlike std::span it asserts on
+/// out-of-range element access, matching the rest of the support layer.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,214 +1,322 @@
-//===- tests/dense_index_test.cpp - Frozen dense index equivalence --------===//
+//===- tests/dense_index_test.cpp - Frozen index tables vs oracles --------===//
 //
 // Part of the petal project, an open-source reproduction of "Type-Directed
 // Completion of Partial Expressions" (PLDI 2012).
 //
 //===----------------------------------------------------------------------===//
 //
-// The frozen dense tables (TypeId×TypeId distance matrices, CSR member
-// edges, pre-merged method-index spans — see DESIGN.md §11) are a pure
-// representation change: every query they answer must be *value-identical*
-// to the legacy lazy path. These tests enforce that exhaustively — every
-// (type, type) pair, every member-edge list, every method-candidate list —
-// on two identically generated corpora, one frozen dense and one kept on
-// the warmed lazy path (FreezeOptions::MaxDenseBytes = 0). A concurrent
-// stress case (run under TSan via scripts/ci.sh; the suite name matches
-// the IndexStress regex) hammers the lock-free tables from eight threads.
+// CompletionIndexes::freeze() builds every index table (CSR member edges,
+// pre-merged method-union spans, reachability tables — see DESIGN.md §11)
+// straight from the type graph. These tests check every cell of those
+// tables — every type, every (type, type) pair — against test-local
+// oracles that recompute each answer the slow, obvious way the retired
+// lazy caches once did ("legacy" below): on a generated monolithic corpus,
+// and on an overlay (the geometry base corpus plus one document). The
+// TypeSystem's own dense distance matrix is compared against a warmed
+// twin that stays on its lazy ancestor maps. A concurrent stress case
+// (run under TSan via scripts/ci.sh; the suite name matches the
+// IndexStress regex) hammers the lock-free tables from eight threads.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpora.h"
 
-#include "code/ExprPrinter.h"
 #include "complete/Engine.h"
 #include "corpus/Generator.h"
 #include "parser/Frontend.h"
+#include "snapshot/Snapshot.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <optional>
+#include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace petal;
 
 namespace {
 
-/// Two identically generated corpora (same profile, same seed): Dense is
-/// frozen into the flat tables, Legacy is warmed but kept on the lazy
-/// hash/vector path. Every index query must agree between the two.
+//===----------------------------------------------------------------------===//
+// Oracles
+//===----------------------------------------------------------------------===//
+
+/// Member edges of \p T: non-static visible fields, then zero-argument,
+/// non-void, non-static visible methods.
+std::vector<LookupEdge> memberOracle(const TypeSystem &TS, TypeId T,
+                                     size_t &NumFields) {
+  std::vector<LookupEdge> Edges;
+  for (FieldId F : TS.visibleFields(T))
+    if (!TS.field(F).IsStatic)
+      Edges.push_back({true, F, InvalidId, TS.field(F).Type});
+  NumFields = Edges.size();
+  for (MethodId M : TS.visibleMethods(T)) {
+    const MethodInfo &MI = TS.method(M);
+    if (!MI.IsStatic && MI.Params.empty() && MI.ReturnType != TS.voidType())
+      Edges.push_back({false, InvalidId, M, MI.ReturnType});
+  }
+  return Edges;
+}
+
+/// Method union of \p T: a BFS over \p T's supertype closure, appending
+/// each visited type's exact bucket minus the methods already seen.
+std::vector<MethodId> methodUnionOracle(const TypeSystem &TS,
+                                        const MethodIndex &MI, TypeId T) {
+  std::vector<MethodId> Out;
+  std::set<MethodId> Seen;
+  std::vector<TypeId> Work{T};
+  std::set<TypeId> Visited{T};
+  for (size_t I = 0; I != Work.size(); ++I) {
+    for (MethodId M : MI.exactBucket(Work[I]))
+      if (Seen.insert(M).second)
+        Out.push_back(M);
+    for (TypeId S : TS.immediateSupertypes(Work[I]))
+      if (Visited.insert(S).second)
+        Work.push_back(S);
+  }
+  return Out;
+}
+
+/// Reachability row of \p From: a BFS over the member edges (fields only,
+/// or fields + zero-arg methods) that stops expanding at \p MaxDepth, then
+/// for every target the nearest reached type convertible to it.
+std::vector<std::optional<int>> reachRowOracle(const TypeSystem &TS,
+                                               const MemberCache &MC,
+                                               TypeId From, bool Methods,
+                                               int MaxDepth = 8) {
+  std::unordered_map<TypeId, int> Dist{{From, 0}};
+  std::vector<TypeId> Work{From};
+  for (size_t I = 0; I != Work.size(); ++I) {
+    TypeId Cur = Work[I];
+    if (Dist[Cur] >= MaxDepth)
+      continue;
+    auto Edges = MC.edges(Cur);
+    size_t Limit = Methods ? Edges.size() : MC.numFieldEdges(Cur);
+    for (size_t J = 0; J != Limit; ++J)
+      if (Dist.emplace(Edges[J].ResultType, Dist[Cur] + 1).second)
+        Work.push_back(Edges[J].ResultType);
+  }
+  std::vector<std::optional<int>> Row(TS.numTypes());
+  for (size_t T = 0; T != TS.numTypes(); ++T)
+    for (const auto &[Ty, D] : Dist)
+      if (TS.implicitlyConvertible(Ty, static_cast<TypeId>(T)) &&
+          (!Row[T] || D < *Row[T]))
+        Row[T] = D;
+  return Row;
+}
+
+void expectMembersMatchOracle(const TypeSystem &TS, const MemberCache &MC) {
+  for (size_t T = 0; T != TS.numTypes(); ++T) {
+    TypeId Ty = static_cast<TypeId>(T);
+    size_t NumFields = 0;
+    std::vector<LookupEdge> Want = memberOracle(TS, Ty, NumFields);
+    auto Got = MC.edges(Ty);
+    ASSERT_EQ(Got.size(), Want.size()) << "type " << T;
+    ASSERT_EQ(MC.numFieldEdges(Ty), NumFields) << "type " << T;
+    for (size_t I = 0; I != Got.size(); ++I) {
+      ASSERT_EQ(Got[I].IsField, Want[I].IsField) << "type " << T << " edge "
+                                                 << I;
+      ASSERT_EQ(Got[I].Field, Want[I].Field);
+      ASSERT_EQ(Got[I].Method, Want[I].Method);
+      ASSERT_EQ(Got[I].ResultType, Want[I].ResultType);
+    }
+  }
+}
+
+/// Monolithic candidates (and those of any overlay type)
+/// follow the oracle's BFS order exactly. An overlay's base type answers
+/// with the base's span followed by the overlay appendage in id order, so
+/// there the oracle is split the same way.
+void expectMethodsMatchOracle(const TypeSystem &TS, const MethodIndex &MI) {
+  size_t NumBaseTypes = TS.numBaseTypes();
+  size_t NumBaseMethods = TS.numBaseMethods();
+  for (size_t T = 0; T != TS.numTypes(); ++T) {
+    TypeId Ty = static_cast<TypeId>(T);
+    std::vector<MethodId> Want = methodUnionOracle(TS, MI, Ty);
+    if (T < NumBaseTypes) {
+      auto Tail = std::stable_partition(
+          Want.begin(), Want.end(), [&](MethodId M) {
+            return static_cast<size_t>(M) < NumBaseMethods;
+          });
+      std::sort(Tail, Want.end());
+    }
+    MethodCandidates Got = MI.candidatesForArgType(Ty);
+    ASSERT_EQ(std::vector<MethodId>(Got.begin(), Got.end()), Want)
+        << "type " << TS.qualifiedName(Ty);
+  }
+}
+
+void expectReachMatchesOracle(const TypeSystem &TS, const MemberCache &MC,
+                              const ReachabilityIndex &RI) {
+  for (size_t F = 0; F != TS.numTypes(); ++F)
+    for (bool Methods : {false, true}) {
+      TypeId From = static_cast<TypeId>(F);
+      std::vector<std::optional<int>> Want =
+          reachRowOracle(TS, MC, From, Methods);
+      for (size_t T = 0; T != TS.numTypes(); ++T)
+        ASSERT_EQ(RI.minLookupsToConvertible(From, static_cast<TypeId>(T),
+                                             Methods),
+                  Want[T])
+            << TS.qualifiedName(From) << " -> "
+            << TS.qualifiedName(static_cast<TypeId>(T))
+            << " methods=" << Methods;
+    }
+}
+
+//===----------------------------------------------------------------------===//
+// Monolithic corpus
+//===----------------------------------------------------------------------===//
+
+/// One generated corpus frozen into the flat tables, plus an identically
+/// generated twin TypeSystem that is warmed but never dense-frozen.
 class DenseEquivalenceTest : public ::testing::Test {
 protected:
   void SetUp() override {
     ProjectProfile Prof = paperProjectProfiles(0.15)[2];
 
-    DenseTS = std::make_unique<TypeSystem>();
-    DenseP = std::make_unique<Program>(*DenseTS);
-    CorpusGenerator(Prof).generate(*DenseP);
-    Dense = std::make_unique<CompletionIndexes>(*DenseP);
-    Dense->freeze(); // default budget: dense tables
+    TS = std::make_unique<TypeSystem>();
+    P = std::make_unique<Program>(*TS);
+    CorpusGenerator(Prof).generate(*P);
+    Idx = std::make_unique<CompletionIndexes>(*P);
+    Idx->freeze();
 
     LegacyTS = std::make_unique<TypeSystem>();
     LegacyP = std::make_unique<Program>(*LegacyTS);
     CorpusGenerator(Prof).generate(*LegacyP);
-    Legacy = std::make_unique<CompletionIndexes>(*LegacyP);
-    Legacy->freeze(FreezeOptions{/*MaxDenseBytes=*/0}); // warmed lazy path
+    LegacyTS->warmRelationCaches();
 
-    ASSERT_EQ(DenseTS->numTypes(), LegacyTS->numTypes());
+    ASSERT_EQ(TS->numTypes(), LegacyTS->numTypes());
   }
 
-  std::unique_ptr<TypeSystem> DenseTS, LegacyTS;
-  std::unique_ptr<Program> DenseP, LegacyP;
-  std::unique_ptr<CompletionIndexes> Dense, Legacy;
+  std::unique_ptr<TypeSystem> TS, LegacyTS;
+  std::unique_ptr<Program> P, LegacyP;
+  std::unique_ptr<CompletionIndexes> Idx;
 };
 
 TEST_F(DenseEquivalenceTest, FreezeModesTakeTheIntendedRepresentation) {
-  EXPECT_TRUE(Dense->frozen());
-  EXPECT_TRUE(DenseTS->denseDistancesFrozen());
-  EXPECT_TRUE(Dense->Members.frozen());
-  EXPECT_TRUE(Dense->Methods.frozen());
-  EXPECT_TRUE(Dense->Reach.frozen());
-
-  // Budget 0 keeps every index on the (warmed) lazy representation.
-  EXPECT_TRUE(Legacy->frozen());
+  EXPECT_TRUE(Idx->frozen());
+  EXPECT_TRUE(TS->denseDistancesFrozen());
+  EXPECT_TRUE(Idx->Members.frozen());
+  EXPECT_TRUE(Idx->Methods.frozen());
+  EXPECT_TRUE(Idx->Reach.frozen());
   EXPECT_FALSE(LegacyTS->denseDistancesFrozen());
-  EXPECT_FALSE(Legacy->Members.frozen());
-  EXPECT_FALSE(Legacy->Methods.frozen());
-  EXPECT_FALSE(Legacy->Reach.frozen());
+
+  // Before freeze() an index holds no tables at all; freeze() builds all
+  // three, and engine construction freezes on its own.
+  CompletionIndexes Fresh(*P);
+  EXPECT_FALSE(Fresh.frozen());
+  EXPECT_FALSE(Fresh.Members.frozen());
+  EXPECT_FALSE(Fresh.Methods.frozen());
+  EXPECT_FALSE(Fresh.Reach.frozen());
+  CompletionEngine Engine(*P, Fresh);
+  EXPECT_TRUE(Fresh.frozen());
+  EXPECT_TRUE(Fresh.Members.frozen());
+  EXPECT_TRUE(Fresh.Methods.frozen());
+  EXPECT_TRUE(Fresh.Reach.frozen());
 }
 
 TEST_F(DenseEquivalenceTest, TypeDistancesMatchLegacyOnEveryPair) {
-  size_t N = DenseTS->numTypes();
+  size_t N = TS->numTypes();
   for (size_t F = 0; F != N; ++F)
     for (size_t T = 0; T != N; ++T) {
       TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
-      ASSERT_EQ(DenseTS->implicitlyConvertible(From, To),
+      ASSERT_EQ(TS->implicitlyConvertible(From, To),
                 LegacyTS->implicitlyConvertible(From, To))
-          << DenseTS->qualifiedName(From) << " -> "
-          << DenseTS->qualifiedName(To);
-      ASSERT_EQ(DenseTS->typeDistance(From, To),
-                LegacyTS->typeDistance(From, To))
-          << DenseTS->qualifiedName(From) << " -> "
-          << DenseTS->qualifiedName(To);
+          << TS->qualifiedName(From) << " -> " << TS->qualifiedName(To);
+      ASSERT_EQ(TS->typeDistance(From, To), LegacyTS->typeDistance(From, To))
+          << TS->qualifiedName(From) << " -> " << TS->qualifiedName(To);
     }
 }
 
 TEST_F(DenseEquivalenceTest, ReachabilityMatchesLegacyOnEveryPair) {
-  size_t N = DenseTS->numTypes();
-  for (size_t F = 0; F != N; ++F)
-    for (size_t T = 0; T != N; ++T) {
-      TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
-      for (bool Methods : {false, true}) {
-        ASSERT_EQ(Dense->Reach.minLookups(From, To, Methods),
-                  Legacy->Reach.minLookups(From, To, Methods))
-            << "minLookups " << F << " -> " << T << " methods=" << Methods;
-        ASSERT_EQ(Dense->Reach.minLookupsToConvertible(From, To, Methods),
-                  Legacy->Reach.minLookupsToConvertible(From, To, Methods))
-            << "minLookupsToConvertible " << F << " -> " << T
-            << " methods=" << Methods;
-      }
-    }
+  expectReachMatchesOracle(*TS, Idx->Members, Idx->Reach);
 }
 
 TEST_F(DenseEquivalenceTest, MemberEdgeListsMatchLegacyElementwise) {
-  size_t N = DenseTS->numTypes();
-  for (size_t T = 0; T != N; ++T) {
-    TypeId Ty = static_cast<TypeId>(T);
-    auto D = Dense->Members.edges(Ty);
-    auto L = Legacy->Members.edges(Ty);
-    ASSERT_EQ(D.size(), L.size()) << "type " << T;
-    ASSERT_EQ(Dense->Members.numFieldEdges(Ty),
-              Legacy->Members.numFieldEdges(Ty));
-    for (size_t I = 0; I != D.size(); ++I) {
-      ASSERT_EQ(D[I].IsField, L[I].IsField) << "type " << T << " edge " << I;
-      ASSERT_EQ(D[I].Field, L[I].Field);
-      ASSERT_EQ(D[I].Method, L[I].Method);
-      ASSERT_EQ(D[I].ResultType, L[I].ResultType);
-    }
-  }
+  expectMembersMatchOracle(*TS, Idx->Members);
 }
 
 TEST_F(DenseEquivalenceTest, MethodCandidateListsMatchLegacyInOrder) {
-  size_t N = DenseTS->numTypes();
-  for (size_t T = 0; T != N; ++T) {
-    TypeId Ty = static_cast<TypeId>(T);
-    auto D = Dense->Methods.candidatesForArgType(Ty);
-    auto L = Legacy->Methods.candidatesForArgType(Ty);
-    ASSERT_EQ(D.size(), L.size()) << "type " << T;
-    // Order is part of the contract: the pre-merged spans must preserve
-    // the nearer-supertype-first BFS order the ranking relies on.
-    for (size_t I = 0; I != D.size(); ++I)
-      ASSERT_EQ(D[I], L[I]) << "type " << T << " slot " << I;
+  // Order is part of the contract: the pre-merged spans must preserve
+  // the nearer-supertype-first BFS order the ranking relies on.
+  expectMethodsMatchOracle(*TS, Idx->Methods);
+}
+
+//===----------------------------------------------------------------------===//
+// Overlay corpus
+//===----------------------------------------------------------------------===//
+
+/// A document over the geometry base: overlay classes deriving from base
+/// classes, fields and zero-arg methods crossing both layers, and static
+/// methods whose base-typed parameters give base types an appendage.
+const char *OverlayDoc = R"(
+namespace Sketch {
+  class Marker : DynamicGeometry.Shape {
+    System.Windows.Point Anchor;
+    Label Caption;
+    DynamicGeometry.ShapeStyle GetStyle();
+    static double Measure(DynamicGeometry.LineBase line, Marker m);
+  }
+  class Label {
+    string Text;
+    Marker Owner;
+    double Width();
+  }
+  class Callout : Marker {
+    DynamicGeometry.EllipseArc Arc;
+  }
+  class Tools {
+    static void Align(DynamicGeometry.Shape s, System.Windows.Point p);
+    static Label Tag(object o, int n);
   }
 }
+)";
 
-//===----------------------------------------------------------------------===//
-// Engine-level equivalence on the parsed running-example corpus
-//===----------------------------------------------------------------------===//
-
-/// Completions (expressions, scores, and explain cards) must be
-/// bit-identical whether the engine runs on dense-frozen or legacy-lazy
-/// indexes.
-TEST(DenseEngineEquivalenceTest, CompletionsIdenticalDenseVsLegacy) {
-  const char *Queries[] = {"?", "Distance(point, ?)",
-                           "point.?*m >= this.?*m", "?({point})", "this.?*f"};
-
-  auto Run = [&](size_t MaxDenseBytes) {
+class OverlayIndexOracleTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    std::string Error;
+    Base = baseCorpusFromSource(corpora::GeometryCorpus, Error);
+    ASSERT_NE(Base, nullptr) << Error;
+    TS = std::make_unique<TypeSystem>(Base->TS);
+    P = std::make_unique<Program>(*TS);
     DiagnosticEngine Diags;
-    TypeSystem TS;
-    Program P(TS);
-    EXPECT_TRUE(loadProgramText(corpora::GeometryCorpus, P, Diags));
-    const CodeClass *Class = findCodeClass(P, "EllipseArc");
-    const CodeMethod *Method = findCodeMethod(P, *Class, "Examine");
-    CodeSite Site{Class, Method, Method->body().size()};
+    ASSERT_TRUE(loadProgramText(OverlayDoc, *P, Diags));
+    ASSERT_GT(TS->numTypes(), TS->numBaseTypes());
+    ASSERT_GT(TS->numMethods(), TS->numBaseMethods());
+    Idx = std::make_unique<CompletionIndexes>(*P, Base);
+    Idx->freeze();
+  }
 
-    CompletionIndexes Idx(P);
-    Idx.freeze(FreezeOptions{MaxDenseBytes});
-    CompletionEngine Engine(P, Idx);
+  std::shared_ptr<const BaseCorpus> Base;
+  std::unique_ptr<TypeSystem> TS;
+  std::unique_ptr<Program> P;
+  std::unique_ptr<CompletionIndexes> Idx;
+};
 
-    CompletionOptions Opts;
-    Opts.Explain = true;
-    std::ostringstream OS;
-    for (const char *Text : Queries) {
-      QueryScope Scope{Class, Method, Site.StmtIndex};
-      const PartialExpr *Q = parseQueryText(Text, P, Scope, Diags);
-      EXPECT_NE(Q, nullptr);
-      for (const Completion &C : Engine.complete(Q, Site, 10, Opts))
-        OS << C.Score << ' ' << printExpr(TS, C.E) << ' '
-           << C.Card->toString() << '\n';
-    }
-    return OS.str();
-  };
-
-  std::string DenseOut = Run(/*MaxDenseBytes=*/256u << 20);
-  std::string LegacyOut = Run(/*MaxDenseBytes=*/0);
-  EXPECT_FALSE(DenseOut.empty());
-  EXPECT_EQ(DenseOut, LegacyOut);
+TEST_F(OverlayIndexOracleTest, MemberEdgeListsMatchOracle) {
+  expectMembersMatchOracle(*TS, Idx->Members);
 }
 
-/// An over-tight budget must refuse dense compilation and fall back to the
-/// lazy path rather than building partial tables.
-TEST(DenseEngineEquivalenceTest, TinyBudgetFallsBackToLazyAndStillAnswers) {
-  TypeSystem TS;
-  Program P(TS);
-  CorpusGenerator(paperProjectProfiles(0.1)[0]).generate(P);
-  CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{/*MaxDenseBytes=*/1});
-  EXPECT_TRUE(Idx.frozen());
-  EXPECT_FALSE(TS.denseDistancesFrozen());
-  EXPECT_FALSE(Idx.Reach.frozen());
-  // CSR compaction is not byte-budgeted (it shrinks storage); it still runs.
-  EXPECT_TRUE(Idx.Members.frozen());
-  EXPECT_TRUE(Idx.Methods.frozen());
-  // And the index still answers.
-  size_t Total = 0;
-  for (size_t T = 0; T != TS.numTypes(); ++T)
-    Total += Idx.Methods.candidatesForArgType(static_cast<TypeId>(T)).size();
-  EXPECT_GT(Total, 0u);
+TEST_F(OverlayIndexOracleTest, MethodCandidateListsMatchOracle) {
+  expectMethodsMatchOracle(*TS, Idx->Methods);
+  // The appendage is not vacuous: a base type gains overlay candidates.
+  TypeId Shape = TS->findType("DynamicGeometry.Shape");
+  ASSERT_NE(Shape, InvalidId);
+  MethodCandidates C = Idx->Methods.candidatesForArgType(Shape);
+  EXPECT_TRUE(std::any_of(C.begin(), C.end(), [&](MethodId M) {
+    return static_cast<size_t>(M) >= TS->numBaseMethods();
+  }));
+}
+
+TEST_F(OverlayIndexOracleTest, ReachabilityMatchesOracleOnEveryPair) {
+  expectReachMatchesOracle(*TS, Idx->Members, Idx->Reach);
 }
 
 //===----------------------------------------------------------------------===//
-// Concurrent stress over the lock-free dense tables (TSan: scripts/ci.sh)
+// Concurrent stress over the lock-free tables (TSan: scripts/ci.sh)
 //===----------------------------------------------------------------------===//
 
 /// Eight threads hammer the dense matrices and CSR spans with the *same*
@@ -233,14 +341,11 @@ TEST(DenseIndexStressTest, EightThreadsReadLockFreeTablesConsistently) {
         TypeId To = static_cast<TypeId>((I * 13 + 5) % N);
         Sum += Idx.Members.edges(From).size();
         Sum += Idx.Methods.candidatesForArgType(From).size();
-        for (bool Methods : {false, true}) {
-          Sum += static_cast<uint64_t>(
-              Idx.Reach.minLookups(From, To, Methods).value_or(-1) + 2);
+        for (bool Methods : {false, true})
           Sum += static_cast<uint64_t>(
               Idx.Reach.minLookupsToConvertible(From, To, Methods)
                       .value_or(-1) +
               2);
-        }
         Sum += TS.implicitlyConvertible(From, To);
         Sum +=
             static_cast<uint64_t>(TS.typeDistance(From, To).value_or(-1) + 2);

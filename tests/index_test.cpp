@@ -61,6 +61,7 @@ TEST_F(MethodIndexTest, ExactBucketsKeyOnDeclaredTypes) {
 
 TEST_F(MethodIndexTest, CandidatesWalkSupertypes) {
   MethodIndex Idx(TS);
+  Idx.freeze();
   const auto &ForRect = Idx.candidatesForArgType(Rect);
   std::set<MethodId> S(ForRect.begin(), ForRect.end());
   // A Rect argument fits Rect, Shape, and Object parameters.
@@ -76,6 +77,7 @@ TEST_F(MethodIndexTest, CandidatesWalkSupertypes) {
 
 TEST_F(MethodIndexTest, NearerBucketsComeFirst) {
   MethodIndex Idx(TS);
+  Idx.freeze();
   const auto &ForRect = Idx.candidatesForArgType(Rect);
   auto Pos = [&](MethodId M) {
     return std::find(ForRect.begin(), ForRect.end(), M) - ForRect.begin();
@@ -96,6 +98,7 @@ TEST(MethodIndexPropertyTest, MatchesBruteForceOnGeneratedCorpus) {
   CorpusGenerator Gen(Prof);
   Gen.generate(P);
   MethodIndex Idx(TS);
+  Idx.freeze();
 
   for (size_t T = 0; T != TS.numTypes(); ++T) {
     TypeId Ty = static_cast<TypeId>(T);
@@ -135,6 +138,7 @@ TEST(MemberCacheTest, FieldsFirstThenZeroArgMethods) {
   TS.addMethod(C, "Static", TS.intType(), {}, /*IsStatic=*/true);  // excluded
 
   MemberCache MC(TS);
+  MC.freeze();
   const auto &Edges = MC.edges(C);
   ASSERT_EQ(Edges.size(), 2u);
   EXPECT_TRUE(Edges[0].IsField);
@@ -151,6 +155,7 @@ TEST(MemberCacheTest, IncludesInheritedMembers) {
   TS.addMethod(Base, "Get", TS.intType(), {});
 
   MemberCache MC(TS);
+  MC.freeze();
   EXPECT_EQ(MC.edges(Derived).size(), 2u);
   EXPECT_TRUE(MC.edges(TS.intType()).empty());
 }
@@ -172,7 +177,9 @@ protected:
     TS.addField(Line, "P1", Point);
     TS.addMethod(Line, "GetStyle", Style, {});
     MC = std::make_unique<MemberCache>(TS);
+    MC->freeze();
     RI = std::make_unique<ReachabilityIndex>(TS, *MC);
+    RI->freeze();
   }
 
   TypeSystem TS;
@@ -183,15 +190,17 @@ protected:
 };
 
 TEST_F(ReachTest, MinLookupCounts) {
-  EXPECT_EQ(RI->minLookups(Line, Line, true), 0);
-  EXPECT_EQ(RI->minLookups(Line, Point, true), 1);
-  EXPECT_EQ(RI->minLookups(Line, TS.doubleType(), true), 2);
+  // Line, Point, Style and double have no subtypes among the reachable
+  // types, so the convertible-target distance is the exact-type one.
+  EXPECT_EQ(RI->minLookupsToConvertible(Line, Line, true), 0);
+  EXPECT_EQ(RI->minLookupsToConvertible(Line, Point, true), 1);
+  EXPECT_EQ(RI->minLookupsToConvertible(Line, TS.doubleType(), true), 2);
   // Style only reachable through the GetStyle() method edge.
-  EXPECT_EQ(RI->minLookups(Line, Style, true), 1);
-  EXPECT_FALSE(RI->minLookups(Line, Style, false).has_value());
+  EXPECT_EQ(RI->minLookupsToConvertible(Line, Style, true), 1);
+  EXPECT_FALSE(RI->minLookupsToConvertible(Line, Style, false).has_value());
   // Fields-only still reaches double through P1.X.
-  EXPECT_EQ(RI->minLookups(Line, TS.doubleType(), false), 2);
-  EXPECT_FALSE(RI->minLookups(Point, Line, true).has_value());
+  EXPECT_EQ(RI->minLookupsToConvertible(Line, TS.doubleType(), false), 2);
+  EXPECT_FALSE(RI->minLookupsToConvertible(Point, Line, true).has_value());
 }
 
 TEST_F(ReachTest, ConvertibleTargets) {
@@ -208,13 +217,15 @@ TEST_F(ReachTest, DepthCapBoundsTheSearch) {
   TypeId Node = TS.addType("Node", Ns, TypeKind::Class);
   TS.addField(Node, "Next", Node);
   MemberCache MC2(TS);
+  MC2.freeze();
   ReachabilityIndex Shallow(TS, MC2, /*MaxDepth=*/3);
-  EXPECT_EQ(Shallow.minLookups(Node, Node, true), 0);
-  EXPECT_FALSE(Shallow.minLookups(Node, Point, true).has_value());
+  Shallow.freeze();
+  EXPECT_EQ(Shallow.minLookupsToConvertible(Node, Node, true), 0);
+  EXPECT_FALSE(Shallow.minLookupsToConvertible(Node, Point, true).has_value());
 }
 
-/// Property: minLookups agrees with an independent BFS oracle on a
-/// generated corpus.
+/// Property: minLookupsToConvertible agrees with an independent BFS oracle
+/// on a generated corpus.
 TEST(ReachabilityPropertyTest, AgreesWithBfsOracle) {
   ProjectProfile Prof = paperProjectProfiles(0.15)[2];
   TypeSystem TS;
@@ -222,7 +233,9 @@ TEST(ReachabilityPropertyTest, AgreesWithBfsOracle) {
   CorpusGenerator Gen(Prof);
   Gen.generate(P);
   MemberCache MC(TS);
+  MC.freeze();
   ReachabilityIndex RI(TS, MC, /*MaxDepth=*/4);
+  RI.freeze();
 
   Rng R(99);
   for (int Trial = 0; Trial != 40; ++Trial) {
@@ -244,12 +257,11 @@ TEST(ReachabilityPropertyTest, AgreesWithBfsOracle) {
     }
     for (size_t T = 0; T != TS.numTypes(); ++T) {
       TypeId To = static_cast<TypeId>(T);
-      auto Got = RI.minLookups(From, To, true);
-      auto It = Dist.find(To);
-      if (It == Dist.end())
-        ASSERT_FALSE(Got.has_value());
-      else
-        ASSERT_EQ(Got, It->second);
+      std::optional<int> Want;
+      for (const auto &[Ty, D] : Dist)
+        if (TS.implicitlyConvertible(Ty, To) && (!Want || D < *Want))
+          Want = D;
+      ASSERT_EQ(RI.minLookupsToConvertible(From, To, true), Want);
     }
   }
 }

@@ -12,7 +12,7 @@
 // exceptions confined to one request, watchdog strikes, in-flight
 // cancellation), every fault kind's degradation ladder rung (garbage
 // frames, short reads, EINTR storms, snapshot truncation/bit-flip/mmap
-// failure, build throws, overlay and dense-freeze fallbacks), and a
+// failure, build throws, overlay fallback), and a
 // 10k-request chaos run over a real socketpair transport — zero crashes,
 // exactly one response per request, injected == recovered. The chaos and
 // backpressure suites run under TSan and ASan in scripts/ci.sh; the chaos
@@ -188,6 +188,8 @@ TEST(FaultInjectorTest, SpecGrammarAcceptsAndRejects) {
   EXPECT_FALSE(FI.armFromSpec("42:1001", Error));
   EXPECT_FALSE(FI.armFromSpec("42:100:no-such-fault", Error));
   EXPECT_NE(Error.find("no-such-fault"), std::string::npos);
+  // The dense-budget rung is gone with the budget itself.
+  EXPECT_FALSE(FI.armFromSpec("42:100:freeze-budget", Error));
   FI.disarm();
   EXPECT_FALSE(FaultInjector::armed());
 }
@@ -654,7 +656,7 @@ bool writeCorpusSnapshot(const std::string &Text, const std::string &Path,
     return false;
   }
   CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{});
+  Idx.freeze();
   AbsTypeSolution Solution = Idx.Infer.solve();
   return snapshot::writeSnapshot(Path, Text, Shape, Idx, Solution, Error);
 }
@@ -713,28 +715,6 @@ TEST(FaultRecoveryTest, MmapFailureFallsBackToBufferedRead) {
   FaultInjector &FI = FaultInjector::instance();
   EXPECT_EQ(FI.injected(Fault::SnapshotMmapFail), 1u);
   EXPECT_EQ(FI.recovered(Fault::SnapshotMmapFail), 1u);
-}
-
-TEST(FaultRecoveryTest, FreezeBudgetFaultFallsBackToLazyIndexes) {
-  // Reference computed before arming so it is untouched by the fault.
-  auto Want = directComplete(corpora::GeometryCorpus, "EllipseArc",
-                             "Examine", "Distance(point, ?)", 10);
-  FaultGuard G(9, 1000, {Fault::FreezeDenseBudget});
-  InProcessClient C(testOptions(/*Workers=*/1));
-  ASSERT_EQ(errorCode(C.call("petal/open",
-                             openParams("geo.cs", corpora::GeometryCorpus,
-                                        1))),
-            0);
-  Value Resp = C.call("petal/complete",
-                      completeParams("geo.cs", "EllipseArc", "Examine",
-                                     "Distance(point, ?)"));
-  ASSERT_EQ(errorCode(Resp), 0) << Resp.write();
-  // Lazy tables answer bit-identically to dense ones — the budget rung of
-  // the ladder costs latency, never correctness.
-  EXPECT_EQ(completionsOf(Resp), Want);
-  Value H = healthOf(C);
-  EXPECT_EQ(H.getInt("faultsInjected", -1), 1);
-  EXPECT_EQ(H.getInt("faultsRecovered", -1), 1);
 }
 
 TEST(FaultRecoveryTest, OverlayBuildFaultDegradesToMonolithicThenHeals) {

@@ -898,7 +898,7 @@ loadedSnapshotOf(const std::string &Text, const std::string &Name) {
   Program P(TS);
   EXPECT_TRUE(resolveParsedFile(File, P, Diags));
   CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{});
+  Idx.freeze();
   AbsTypeSolution Solution = Idx.Infer.solve();
 
   const std::string Path = testing::TempDir() + "petal_svc_" + Name;

@@ -116,7 +116,7 @@ bool writeCorpusSnapshot(const std::string &Text, const std::string &Path,
     return false;
   }
   CompletionIndexes Idx(P);
-  Idx.freeze(FreezeOptions{});
+  Idx.freeze();
   AbsTypeSolution Solution = Idx.Infer.solve();
   return snapshot::writeSnapshot(Path, Text, ForcedShape ? *ForcedShape
                                                          : Shape,
@@ -407,7 +407,7 @@ TEST(SnapshotTest, FlippedByteInEverySectionIsDetected) {
   ASSERT_TRUE(writeCorpusSnapshot(baseText(), Good, Error)) << Error;
   snapshot::SnapshotInfo Info;
   ASSERT_TRUE(snapshot::readSnapshotInfo(Good, Info, Error)) << Error;
-  ASSERT_EQ(Info.Sections.size(), 12u);
+  ASSERT_EQ(Info.Sections.size(), 10u);
 
   const std::vector<char> Bytes = readFileBytes(Good);
   const std::string Path = tmpPath("flip.snap");
@@ -458,6 +458,11 @@ TEST(SnapshotTest, HeaderFaultsAreDetected) {
   LoadExpectingFailure(
       Patched([](snapshot::Header &H) { H.Version += 1; }),
       "format version mismatch");
+  // A format-1 image (the layout that still carried the exact-type
+  // reachability matrices) is refused, so callers fall back to a cold
+  // build.
+  LoadExpectingFailure(Patched([](snapshot::Header &H) { H.Version = 1; }),
+                       "format version mismatch");
   LoadExpectingFailure(
       Patched([](snapshot::Header &H) { H.TypeGraphHash ^= 1; }), "stale");
   LoadExpectingFailure(
@@ -528,7 +533,7 @@ TEST(SnapshotTest, InfoReportsTheFullSectionTable) {
   snapshot::SnapshotInfo Info;
   ASSERT_TRUE(snapshot::readSnapshotInfo(Path, Info, Error)) << Error;
   EXPECT_EQ(Info.Hdr.Version, snapshot::FormatVersion);
-  EXPECT_EQ(Info.Sections.size(), 12u);
+  EXPECT_EQ(Info.Sections.size(), 10u);
   EXPECT_GT(Info.FileBytes, sizeof(snapshot::Header));
   for (const snapshot::SectionEntry &S : Info.Sections) {
     EXPECT_EQ(S.Offset % 8, 0u) << snapshot::sectionKindName(S.Kind);

@@ -316,7 +316,8 @@ TEST(IndexStressTest, EightThreadsHammerFrozenIndexes) {
           Sum += Idx.Members.edges(From).size();
           Sum += Idx.Methods.candidatesForArgType(From).size();
           Sum += static_cast<uint64_t>(
-              Idx.Reach.minLookups(From, To, true).value_or(-1) + 2);
+              Idx.Reach.minLookupsToConvertible(From, To, true).value_or(-1) +
+              2);
           Sum += static_cast<uint64_t>(
               Idx.Reach.minLookupsToConvertible(From, To, (I + T) % 2 == 0)
                       .value_or(-1) +
@@ -348,7 +349,7 @@ TEST(IndexStressTest, EightThreadsHammerFrozenIndexes) {
       Serial += Idx.Members.edges(From).size();
       Serial += Idx.Methods.candidatesForArgType(From).size();
       Serial += static_cast<uint64_t>(
-          Idx.Reach.minLookups(From, To, true).value_or(-1) + 2);
+          Idx.Reach.minLookupsToConvertible(From, To, true).value_or(-1) + 2);
       Serial += static_cast<uint64_t>(
           Idx.Reach.minLookupsToConvertible(From, To, I % 2 == 0)
                   .value_or(-1) +
