@@ -10,9 +10,8 @@
 // Three columns over the same generated corpus:
 //
 //   cold-open   buildDocumentState from source: parse + resolve + index
-//               freeze (the O(N^2) distance matrix, the BFS reachability
-//               tables, the CSR builds) + the whole-corpus abstract-type
-//               solve
+//               freeze (the BFS reachability tables, the CSR builds) +
+//               the whole-corpus abstract-type solve
 //   warm-load   loadSnapshot + documentFromSnapshot: validate checksums,
 //               re-parse the embedded source, adopt every frozen table out
 //               of the mapping, deserialize the solution

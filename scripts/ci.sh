@@ -24,7 +24,10 @@
 #      plus the parser/robustness suites, where lifetime bugs would live
 #      (documents swapped under in-flight requests, cached payloads
 #      outliving their sessions, mapped tables outliving their mapping,
-#      overlays outliving or outlived by their base corpus), and a
+#      overlays outliving or outlived by their base corpus), the type
+#      system and frozen-index oracle suites (every ancestor-row scan and
+#      table read, over owned storage and, via the snapshot suites, over
+#      adopted mappings), and a
 #      snapshot save/load round trip through the real CLI tools —
 #      the fault-injection tests must reject corrupt images by returning
 #      an error, never by touching bytes outside the mapping. Then the
@@ -53,8 +56,7 @@
 #      off), each vs its committed snapshot. The tolerance is deliberately loose (50%) — CI machines
 #      are noisy and differ from the snapshot's hardware; the leg exists
 #      to catch order-of-magnitude regressions (a lock reintroduced on the
-#      query path, the type system silently left on its lazy ancestor
-#      maps, an edit shape silently demoted to a full rebuild, a
+#      query path, an edit shape silently demoted to a full rebuild, a
 #      warm start silently degenerating into a cold build, an overlay open
 #      silently redoing base-corpus work), not 10% drift.
 #
@@ -86,7 +88,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPETAL_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos'
+  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos|DenseEquivalence|OverlayIndexOracle|TypeSystem|TypeDistance'
 
 echo
 echo "== [3/5]   snapshot save/load round trip through the CLI tools (ASan)"

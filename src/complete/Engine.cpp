@@ -81,12 +81,9 @@ void CompletionIndexes::freeze() {
     Frozen = true;
     return;
   }
-  // Order matters: Reach's rows walk the member table and check
-  // convertibility, which is a single int16 load once the type system's
-  // matrix is in place. A corpus too large for that matrix (or an overlay,
-  // whose local types never get one) keeps the warmed ancestor maps.
-  if (!TS.freezeDenseDistances())
-    TS.warmRelationCaches();
+  // Order matters: Reach's rows relax over the type system's ancestor
+  // rows, and after this every relation query is a pure read.
+  TS.fillAncestorRows();
   Members.freeze();
   Methods.freeze();
   Reach.freeze();
@@ -105,7 +102,7 @@ size_t CompletionIndexes::memoryBytes() const {
 
 void CompletionIndexes::adoptFrozenTables() {
   assert(!Frozen && "indexes already frozen");
-  assert(TS.denseDistancesFrozen() && Members.frozen() && Methods.frozen() &&
+  assert(TS.ancestorRowsComplete() && Members.frozen() && Methods.frozen() &&
          Reach.frozen() &&
          "adoptFrozenTables() requires every sub-index to hold adopted "
          "tables already");

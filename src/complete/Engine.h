@@ -91,11 +91,10 @@ struct CompletionIndexes {
   /// fresh inference extends the base solution again.
   CompletionIndexes(Program &P, const CompletionIndexes &Prev);
 
-  /// Builds every index table straight from the type graph: the type
-  /// system's TypeId×TypeId int16 distance matrix (when it fits
-  /// TypeSystem::DenseDistanceBudget; otherwise its warmed ancestor maps),
-  /// the CSR member edges, the pre-merged method-union spans, and the
-  /// reachability tables. Idempotent; required before concurrent use.
+  /// Builds every index table straight from the type graph: the rest of
+  /// the type system's ancestor rows, the CSR member edges, the
+  /// pre-merged method-union spans, and the reachability tables.
+  /// Idempotent; required before concurrent use.
   void freeze();
   bool frozen() const { return Frozen; }
 
@@ -112,7 +111,7 @@ struct CompletionIndexes {
   bool sharesTypeGraphTables() const { return SharedTypeGraph; }
 
   /// The TypeSystem every index reads (the snapshot writer serializes its
-  /// dense distance table alongside the index tables).
+  /// ancestor CSR alongside the index tables).
   const TypeSystem &typeSystem() const { return TS; }
 
   /// The shared base layer these indexes overlay; null for a monolithic

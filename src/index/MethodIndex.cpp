@@ -99,9 +99,10 @@ void MethodIndex::freeze() {
     // call-parameter types S lies in T's supertype closure. The closure of
     // a base type is sealed inside the base layer, so only base S qualify,
     // and (for T != null) membership is exactly "td(T, S) is defined". The
-    // null literal is the one base type whose dense distance row (0 to
-    // every reference type) is *wider* than its closure ({null} itself —
-    // null has no supertype edges), so it gets no appendage.
+    // null literal is the one base type whose td (0 to every reference
+    // type, by its explicit rule) is *wider* than its closure and its
+    // ancestor row ({null} itself — null has no supertype edges), so it
+    // gets no appendage.
     AppOffsets.assign(1, 0);
     AppData.clear();
     for (size_t T = 0; T != NumBaseTypes; ++T) {

@@ -24,13 +24,6 @@ void ReachabilityIndex::freeze() {
   size_t N = TS.numTypes();
   size_t Rows = N - NumBaseTypes;
 
-  // Per-type convertible-target lists, each filled the first time a row
-  // reaches its type, so a row fills by relaxation over these lists
-  // instead of N implicitlyConvertible calls per reached type. With the
-  // TypeSystem's own dense matrix frozen each check is a single int16
-  // load, and an overlay only computes the lists of types its rows reach.
-  std::vector<std::vector<TypeId>> ConvTargets(N);
-  std::vector<bool> HaveTargets(N, false);
   // BFS scratch reused by every row: Dist holds the lookup distance of
   // each type the current row reached (NoReach elsewhere), Reached lists
   // those types in BFS order, and both are reset after the row.
@@ -62,17 +55,20 @@ void ReachabilityIndex::freeze() {
       }
       // Reached is in BFS order — nondecreasing distance — so the first
       // reached type convertible to a target sets that target's minimum.
+      // The targets a type converts to are its ancestor row; `null`, whose
+      // row is just itself, converts to every reference type.
       int16_t *Row = Table.data() + (F - NumBaseTypes) * N;
       for (TypeId Ty : Reached) {
-        if (!HaveTargets[Ty]) {
+        if (Ty == TS.nullType()) {
           for (size_t Tgt = 0; Tgt != N; ++Tgt)
-            if (TS.implicitlyConvertible(Ty, static_cast<TypeId>(Tgt)))
-              ConvTargets[Ty].push_back(static_cast<TypeId>(Tgt));
-          HaveTargets[Ty] = true;
+            if (Row[Tgt] == NoReach &&
+                TS.isReferenceType(static_cast<TypeId>(Tgt)))
+              Row[Tgt] = Dist[Ty];
+        } else {
+          for (const AncestorEntry &A : TS.ancestors(Ty))
+            if (Row[A.Type] == NoReach)
+              Row[A.Type] = Dist[Ty];
         }
-        for (TypeId Tgt : ConvTargets[Ty])
-          if (Row[Tgt] == NoReach)
-            Row[Tgt] = Dist[Ty];
         Dist[Ty] = NoReach;
       }
     }

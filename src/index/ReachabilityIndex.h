@@ -94,10 +94,10 @@ public:
 
   /// Installs the two externally owned tables (the snapshot loader's
   /// zero-copy path; each pointer aims into the read-only mapping
-  /// \p KeepAlive pins). Same contract as
-  /// TypeSystem::adoptDenseDistances: \p N must equal the TypeSystem's
-  /// type count and the tables must have been computed over identical
-  /// source, which the snapshot's content hashes guarantee.
+  /// \p KeepAlive pins). Same contract as TypeSystem::adoptAncestorRows:
+  /// \p N must equal the TypeSystem's type count and the tables must have
+  /// been computed over identical source, which the snapshot's content
+  /// hashes guarantee.
   void adoptFrozen(const int16_t *ConvFields, const int16_t *ConvMethods,
                    size_t N, std::shared_ptr<const void> KeepAlive);
 

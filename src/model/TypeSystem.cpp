@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 
 using namespace petal;
 
@@ -63,6 +62,8 @@ TypeSystem::TypeSystem(std::shared_ptr<const TypeSystem> BaseLayer)
     : Base(std::move(BaseLayer)) {
   assert(Base && "overlay constructor requires a base layer");
   assert(!Base->Base && "overlays do not stack: the base must be monolithic");
+  assert(Base->ancestorRowsComplete() &&
+         "fill the base's ancestor rows before overlays attach");
   NumBaseTypes = Base->numTypes();
   NumBaseFields = Base->numFields();
   NumBaseMethods = Base->numMethods();
@@ -112,7 +113,6 @@ NamespaceId TypeSystem::getOrAddNamespace(const std::string &FullName) {
 
 TypeId TypeSystem::addType(const std::string &Name, NamespaceId Ns,
                            TypeKind Kind, TypeId Base) {
-  assert(DenseN == 0 && "type system mutated after freezeDenseDistances()");
   TypeInfo TI;
   TI.Name = Name;
   TI.Namespace = Ns;
@@ -161,14 +161,16 @@ void TypeSystem::setComparable(TypeId T, bool Value) {
 void TypeSystem::setBaseClass(TypeId T, TypeId BaseTy) {
   assert((type(BaseTy).Kind == TypeKind::Class) &&
          "base class must be a class");
-  assert(DenseN == 0 && "type system mutated after freezeDenseDistances()");
+  assert(static_cast<size_t>(T) - NumBaseTypes >= NumRows &&
+         "supertypes changed after the type's ancestor row was filled");
   mutableType(T).BaseClass = BaseTy;
 }
 
 void TypeSystem::addInterface(TypeId T, TypeId Iface) {
   assert(type(Iface).Kind == TypeKind::Interface &&
          "addInterface target is not an interface");
-  assert(DenseN == 0 && "type system mutated after freezeDenseDistances()");
+  assert(static_cast<size_t>(T) - NumBaseTypes >= NumRows &&
+         "supertypes changed after the type's ancestor row was filled");
   mutableType(T).Interfaces.push_back(Iface);
 }
 
@@ -316,145 +318,53 @@ std::vector<TypeId> TypeSystem::immediateSupertypes(TypeId T) const {
   return Supers;
 }
 
-const std::unordered_map<TypeId, int> &
-TypeSystem::ancestorDistances(TypeId T) const {
-  // Overlay: the cache covers local types only. A base type's distances
-  // are answered by the base layer (warmed before overlays attach, so the
-  // delegated call is a pure read even under concurrency).
-  if (static_cast<size_t>(T) < NumBaseTypes)
-    return Base->ancestorDistances(T);
-  size_t Slot = static_cast<size_t>(T) - NumBaseTypes;
-  if (AncestorCache.size() < Types.size()) {
-    AncestorCache.resize(Types.size());
-    AncestorCacheValid.resize(Types.size(), false);
-  }
-  if (AncestorCacheValid[Slot])
-    return AncestorCache[Slot];
-
-  // BFS over the supertype graph; the first time a type is reached gives the
-  // minimal distance, matching the min in the td recurrence. For overlay
-  // types the walk climbs into the base graph read-only (supertype edges
-  // are plain TypeInfo reads).
-  std::unordered_map<TypeId, int> &Dist = AncestorCache[Slot];
-  Dist.clear();
-  std::deque<TypeId> Work;
-  Dist[T] = 0;
-  Work.push_back(T);
-  while (!Work.empty()) {
-    TypeId Cur = Work.front();
-    Work.pop_front();
-    int D = Dist[Cur];
-    for (TypeId S : immediateSupertypes(Cur)) {
-      if (Dist.count(S))
-        continue;
-      Dist[S] = D + 1;
-      Work.push_back(S);
+void TypeSystem::fillAncestorRows() const {
+  if (ancestorRowsComplete())
+    return;
+  assert(!RowsKeepAlive && "an adopted ancestor CSR covers every type");
+  // One BFS over the supertype graph per row; the first time a type is
+  // reached gives the minimal distance, matching the min in the td
+  // recurrence. Dist is the scratch shared by every row (-1 = not reached
+  // by this row) and is reset through the row's own type list. Overlay
+  // rows climb into the base graph read-only.
+  std::vector<int16_t> Dist(numTypes(), -1);
+  std::vector<TypeId> Reached;
+  for (size_t Row = NumRows; Row != Types.size(); ++Row) {
+    TypeId T = static_cast<TypeId>(NumBaseTypes + Row);
+    Reached.assign(1, T);
+    Dist[T] = 0;
+    for (size_t I = 0; I != Reached.size(); ++I) {
+      int16_t D = Dist[Reached[I]];
+      assert(D < INT16_MAX && "type distance overflows int16");
+      for (TypeId S : immediateSupertypes(Reached[I]))
+        if (Dist[S] < 0) {
+          Dist[S] = static_cast<int16_t>(D + 1);
+          Reached.push_back(S);
+        }
     }
+    std::sort(Reached.begin(), Reached.end());
+    for (TypeId A : Reached) {
+      RowEntries.push_back({A, Dist[A], 0});
+      Dist[A] = -1;
+    }
+    assert(RowEntries.size() <= UINT32_MAX && "ancestor CSR overflows");
+    RowOffsets.push_back(static_cast<uint32_t>(RowEntries.size()));
   }
-  AncestorCacheValid[Slot] = true;
-  return Dist;
+  OffsetsV = RowOffsets.data();
+  EntriesV = RowEntries.data();
+  NumRows = Types.size(); // publish last
 }
 
-void TypeSystem::warmRelationCaches() const {
-  // Overlays warm their local types only; the base was warmed when it
-  // froze.
-  for (size_t T = 0; T != Types.size(); ++T)
-    ancestorDistances(static_cast<TypeId>(NumBaseTypes + T));
-}
-
-bool TypeSystem::freezeDenseDistances() const {
-  if (DenseN != 0)
-    return true; // idempotent
-  // An overlay never builds its own N×N matrix: base×base queries read the
-  // base's dense table, and overlay rows stay in the (warmed) lazy maps —
-  // that asymmetry is the whole point of the layering.
-  if (Base)
-    return false;
-  size_t N = Types.size();
-  if (N == 0 || N * N * sizeof(int16_t) > DenseDistanceBudget)
-    return false; // fallback: lazy hash maps (warm them instead)
-
-  warmRelationCaches();
-  std::vector<int16_t> M(N * N, NoConversion);
-  for (size_t F = 0; F != N; ++F) {
-    TypeId From = static_cast<TypeId>(F);
-    if (From == NullTy) {
-      // `null` converts (at distance 0) to every reference type; it has no
-      // supertype edges of its own.
-      for (size_t T = 0; T != N; ++T)
-        if (isReferenceType(static_cast<TypeId>(T)))
-          M[F * N + T] = 0;
-      continue;
-    }
-    for (const auto &[To, D] : ancestorDistances(From)) {
-      assert(D >= 0 && D <= INT16_MAX && "type distance overflows int16");
-      M[F * N + static_cast<size_t>(To)] = static_cast<int16_t>(D);
-    }
-  }
-  DistMatrix = std::move(M);
-  DistData = DistMatrix.data();
-  DenseN = N; // publish last: denseDistancesFrozen() keys off this
-  return true;
-}
-
-void TypeSystem::adoptDenseDistances(
-    const int16_t *Table, size_t N,
+void TypeSystem::adoptAncestorRows(
+    const uint32_t *Offsets, const AncestorEntry *Entries,
     std::shared_ptr<const void> KeepAlive) const {
-  assert(DenseN == 0 && "dense distances already frozen");
   assert(!Base && "snapshot tables adopt into the base layer, not overlays");
-  assert(N == Types.size() && "snapshot distance matrix sized for a "
-                              "different type population");
-  // Deliberately no warmRelationCaches(): once DenseN is nonzero every
-  // relation query reads the table, so the lazy maps are dead weight —
-  // skipping their BFS fills is most of the warm-start win.
-  DistData = Table;
-  DenseKeepAlive = std::move(KeepAlive);
-  DenseN = N;
-}
-
-bool TypeSystem::implicitlyConvertible(TypeId From, TypeId To) const {
-  if (From == To)
-    return true;
-  if (Base && static_cast<size_t>(From) < NumBaseTypes) {
-    // Base From: the only conversion that can leave the base layer is the
-    // null literal converting to an overlay reference type — every other
-    // base type's supertype closure was sealed when the base froze.
-    if (static_cast<size_t>(To) >= NumBaseTypes)
-      return From == NullTy && isReferenceType(To);
-    return Base->implicitlyConvertible(From, To);
-  }
-  if (DenseN != 0)
-    return denseDistance(From, To) != NoConversion;
-  if (From == VoidTy || To == VoidTy)
-    return false;
-  if (From == NullTy)
-    return isReferenceType(To);
-  const auto &Dist = ancestorDistances(From);
-  return Dist.count(To) != 0;
-}
-
-std::optional<int> TypeSystem::typeDistance(TypeId From, TypeId To) const {
-  if (Base && static_cast<size_t>(From) < NumBaseTypes) {
-    if (From == To)
-      return 0;
-    if (static_cast<size_t>(To) >= NumBaseTypes)
-      return (From == NullTy && isReferenceType(To)) ? std::optional<int>(0)
-                                                     : std::nullopt;
-    return Base->typeDistance(From, To);
-  }
-  if (DenseN != 0) {
-    int16_t D = denseDistance(From, To);
-    if (D == NoConversion)
-      return std::nullopt;
-    return static_cast<int>(D);
-  }
-  if (From == NullTy)
-    return isReferenceType(To) ? std::optional<int>(0) : std::nullopt;
-  const auto &Dist = ancestorDistances(From);
-  auto It = Dist.find(To);
-  if (It == Dist.end())
-    return std::nullopt;
-  return It->second;
+  OffsetsV = Offsets;
+  EntriesV = Entries;
+  NumRows = Types.size();
+  RowsKeepAlive = std::move(KeepAlive);
+  RowOffsets = {};
+  RowEntries = {};
 }
 
 std::optional<int> TypeSystem::operandDistance(TypeId A, TypeId B) const {
@@ -503,9 +413,8 @@ size_t TypeSystem::memoryBytes() const {
     Bytes += K.capacity() + sizeof(V) + sizeof(void *);
   for (const auto &[K, V] : NamespaceByName)
     Bytes += K.capacity() + sizeof(V) + sizeof(void *);
-  // Relation caches: the dense matrix when owned, else the lazy maps.
-  Bytes += DistMatrix.capacity() * sizeof(int16_t);
-  for (const auto &M : AncestorCache)
-    Bytes += M.size() * (sizeof(TypeId) + sizeof(int) + sizeof(void *));
+  // The ancestor CSR, when owned (an adopted one lives in the mapping).
+  Bytes += RowOffsets.capacity() * sizeof(uint32_t) +
+           RowEntries.capacity() * sizeof(AncestorEntry);
   return Bytes;
 }

@@ -22,6 +22,13 @@
 /// via CCI; petal exposes the same facts from an in-memory model that the
 /// parser and the synthetic corpus generator populate.
 ///
+/// td is stored once, as a per-type ancestor CSR: one row per type listing
+/// every type it converts to with the distance, sorted by id. Class
+/// hierarchies are shallow, so rows are short (a few entries; about 20 KB
+/// for a 750-type corpus) and a lookup is a scan of one row. The `null`
+/// literal is the one exception: it converts at distance 0 to every
+/// reference type by an explicit rule, not through its row.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PETAL_MODEL_TYPESYSTEM_H
@@ -30,6 +37,7 @@
 #include "model/Ids.h"
 #include "support/Span.h"
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -102,6 +110,15 @@ struct TypeInfo {
   bool IsComparable = false;
 };
 
+/// One entry of a type's ancestor row: a type it implicitly converts to and
+/// td to it. The explicit pad keeps every byte of a row (and so of a
+/// snapshot) a pure function of the type graph.
+struct AncestorEntry {
+  TypeId Type = InvalidId;
+  int16_t Dist = 0;
+  uint16_t Pad = 0;
+};
+
 /// The mutable framework model. Construction installs Object, void, and the
 /// primitive types; the parser and corpus generator add everything else.
 ///
@@ -112,18 +129,21 @@ struct TypeInfo {
 /// the base numbering, so an overlay plus its base is indistinguishable
 /// from one monolithic model that resolved the base source first; accessors
 /// dispatch on the id range. The base is shared read-only (many overlays,
-/// concurrent queries) and must have had warmRelationCaches() or
-/// freezeDenseDistances() run before overlays attach; mutators assert they
-/// only ever touch overlay-layer entities.
+/// concurrent queries) and must hold every ancestor row (fillAncestorRows(),
+/// which CompletionIndexes::freeze() runs) before overlays attach; mutators
+/// assert they only ever touch overlay-layer entities.
 class TypeSystem {
 public:
   TypeSystem();
 
   /// Constructs an overlay extending \p BaseLayer (non-null). The overlay
-  /// answers base×base relation queries from the base (dense matrix or
-  /// warmed lazy caches) and keeps sparse local caches for overlay types
-  /// only; it never mutates the base.
+  /// keeps ancestor rows for its own types only; a base type's row is the
+  /// base's. It never mutates the base.
   explicit TypeSystem(std::shared_ptr<const TypeSystem> BaseLayer);
+
+  // The ancestor-row views point into this object's own vectors.
+  TypeSystem(const TypeSystem &) = delete;
+  TypeSystem &operator=(const TypeSystem &) = delete;
 
   //===--------------------------------------------------------------------===
   // Construction
@@ -152,10 +172,12 @@ public:
   void setComparable(TypeId T, bool Value = true);
 
   /// Re-points the base class of \p T (used by the resolver, which registers
-  /// all types before resolving base-class names).
+  /// all types before resolving base-class names). \p T must not have an
+  /// ancestor row yet (asserted): one is filled at the first relation query.
   void setBaseClass(TypeId T, TypeId Base);
 
-  /// Adds \p Iface to the interface list of \p T.
+  /// Adds \p Iface to the interface list of \p T; same precondition as
+  /// setBaseClass.
   void addInterface(TypeId T, TypeId Iface);
 
   //===--------------------------------------------------------------------===
@@ -291,13 +313,18 @@ public:
   /// True if a value of type \p From may be used where \p To is expected
   /// (identity, subclassing, interface implementation, primitive widening,
   /// boxing to Object).
-  bool implicitlyConvertible(TypeId From, TypeId To) const;
+  bool implicitlyConvertible(TypeId From, TypeId To) const {
+    return distanceOrNone(From, To) >= 0;
+  }
 
   /// The paper's type distance td(From, To): number of supertype steps from
   /// \p From up to \p To, or nullopt when no implicit conversion exists.
-  /// Results are memoized; the model must not be mutated after the first
-  /// query (asserted in debug builds via a revision counter).
-  std::optional<int> typeDistance(TypeId From, TypeId To) const;
+  /// Read from \p From's ancestor row, which the first query that needs it
+  /// fills (see ancestors()).
+  std::optional<int> typeDistance(TypeId From, TypeId To) const {
+    int D = distanceOrNone(From, To);
+    return D < 0 ? std::nullopt : std::optional<int>(D);
+  }
 
   /// Distance between two operand types of a binary operator: the paper
   /// treats the operator as a method whose two parameters both have the more
@@ -314,44 +341,48 @@ public:
   /// type \p TargetTy.
   bool assignable(TypeId TargetTy, TypeId ValueTy) const;
 
-  /// Eagerly computes the ancestor-distance cache of every type. After this
-  /// (and absent further model mutation) typeDistance, operandDistance,
-  /// implicitlyConvertible, comparable, and assignable are pure reads and
-  /// safe to call from concurrent threads. Invoked by
-  /// CompletionIndexes::freeze(); idempotent.
-  void warmRelationCaches() const;
-
-  /// Byte budget of the dense distance matrix: 256 MiB, i.e. dense up to
-  /// about 11.6k types.
-  static constexpr size_t DenseDistanceBudget = size_t(256) << 20;
-
-  /// Compiles the lazy ancestor-distance maps into a dense TypeId×TypeId
-  /// int16 matrix (sentinel -1 = no implicit conversion), after which
-  /// typeDistance / implicitlyConvertible / operandDistance are single
-  /// array reads with no hashing and no pointer chasing. Skipped (returns
-  /// false) for an overlay, and when numTypes()² entries would exceed
-  /// DenseDistanceBudget — the lazy hash-map path then stays in effect,
-  /// which is still lock-free after warmRelationCaches(). Idempotent; the
-  /// model must not be mutated afterwards (asserted by the mutators).
-  bool freezeDenseDistances() const;
-  bool denseDistancesFrozen() const { return DenseN != 0; }
-
-  /// The frozen dense distance matrix as flat row-major storage
-  /// (numTypes()² int16 cells, sentinel -1 = no conversion); empty before
-  /// freezeDenseDistances(). Snapshot-writer access.
-  Span<const int16_t> denseDistanceTable() const {
-    return Span<const int16_t>(DistData, DenseN * DenseN);
+  /// The ancestor row of \p T: every type \p T implicitly converts to
+  /// (itself included, at 0) with td to it, sorted by id. The row of
+  /// `null` is just itself; its conversions to reference types follow the
+  /// explicit rule in typeDistance. A base type's row is the base layer's.
+  /// A query that reaches a type of this layer without a row first fills
+  /// the rows of every type of the layer, in id order.
+  Span<const AncestorEntry> ancestors(TypeId T) const {
+    if (static_cast<size_t>(T) < NumBaseTypes)
+      return Base->ancestors(T);
+    size_t Row = static_cast<size_t>(T) - NumBaseTypes;
+    if (Row >= NumRows)
+      fillAncestorRows();
+    return Span<const AncestorEntry>(EntriesV + OffsetsV[Row],
+                                     OffsetsV[Row + 1] - OffsetsV[Row]);
   }
 
-  /// Installs an externally owned dense distance matrix (the snapshot
-  /// loader's zero-copy path: \p Table points into a read-only file
-  /// mapping whose lifetime \p KeepAlive pins). The model must already
-  /// hold exactly \p N types, built from the same source the table was
-  /// computed over — the caller validates this via the snapshot's content
-  /// hashes. Equivalent to freezeDenseDistances() without the O(N²) BFS:
-  /// afterwards denseDistancesFrozen() is true and mutation asserts.
-  void adoptDenseDistances(const int16_t *Table, size_t N,
-                           std::shared_ptr<const void> KeepAlive) const;
+  /// Fills the ancestor row of every type of this layer that lacks one.
+  /// Afterwards (absent further model mutation) typeDistance,
+  /// operandDistance, implicitlyConvertible, comparable, and assignable
+  /// are pure reads and safe to call from concurrent threads. Invoked by
+  /// CompletionIndexes::freeze(); idempotent.
+  void fillAncestorRows() const;
+  bool ancestorRowsComplete() const { return NumRows == Types.size(); }
+
+  /// This layer's ancestor CSR as flat arrays: one offset per row plus a
+  /// final one (the entry count), and the row entries. Snapshot-writer
+  /// access; call fillAncestorRows() first.
+  Span<const uint32_t> ancestorOffsets() const {
+    return Span<const uint32_t>(OffsetsV, NumRows + 1);
+  }
+  Span<const AncestorEntry> ancestorEntries() const {
+    return Span<const AncestorEntry>(EntriesV, OffsetsV[NumRows]);
+  }
+
+  /// Installs an externally owned ancestor CSR covering every type of this
+  /// (monolithic) model — the snapshot loader's zero-copy path: the arrays
+  /// point into a read-only file mapping whose lifetime \p KeepAlive pins.
+  /// The CSR must have been computed over the same source, which the
+  /// snapshot's content hashes guarantee. Rows filled earlier (by the
+  /// resolver's queries) are equal and are dropped.
+  void adoptAncestorRows(const uint32_t *Offsets, const AncestorEntry *Entries,
+                         std::shared_ptr<const void> KeepAlive) const;
 
   /// The declared immediate supertypes of \p T used by td: base class and
   /// interfaces for classes/structs, widening target (or Object) for
@@ -383,13 +414,15 @@ public:
   }
 
 private:
-  /// Distances from a type to each of its (transitive) supertypes, computed
-  /// by BFS over immediateSupertypes and cached. This is the legacy lazy
-  /// path; after freezeDenseDistances() the relation queries read the dense
-  /// matrix instead (the maps are kept as the equivalence oracle). In an
-  /// overlay the cache covers overlay types only (indexed T - NumBaseTypes);
-  /// base types delegate to the base layer's warmed cache.
-  const std::unordered_map<TypeId, int> &ancestorDistances(TypeId T) const;
+  /// td(From, To), or -1 when there is no implicit conversion.
+  int distanceOrNone(TypeId From, TypeId To) const {
+    if (From == NullTy)
+      return isReferenceType(To) ? 0 : -1;
+    for (const AncestorEntry &E : ancestors(From))
+      if (E.Type == To)
+        return E.Dist;
+    return -1;
+  }
 
   /// Mutable access to an overlay-layer (or monolithic) TypeInfo; asserts
   /// the target is not a base-layer entity.
@@ -397,15 +430,6 @@ private:
     assert(static_cast<size_t>(T) >= NumBaseTypes &&
            "overlay must not mutate base-layer types");
     return Types[T - NumBaseTypes];
-  }
-
-  /// Sentinel in DistMatrix for "no implicit conversion".
-  static constexpr int16_t NoConversion = -1;
-
-  /// Dense cell td(From, To), or NoConversion. Only valid when DenseN != 0.
-  int16_t denseDistance(TypeId From, TypeId To) const {
-    return DistData[static_cast<size_t>(From) * DenseN +
-                    static_cast<size_t>(To)];
   }
 
   /// The frozen base layer (null for a monolithic model) and the entity
@@ -425,16 +449,16 @@ private:
   /// consult the base maps first.
   std::unordered_map<std::string, NamespaceId> NamespaceByName;
   std::unordered_map<std::string, TypeId> TypeByName;
-  mutable std::vector<std::unordered_map<TypeId, int>> AncestorCache;
-  mutable std::vector<bool> AncestorCacheValid;
-  /// Row-major numTypes()×numTypes() distance matrix (see
-  /// freezeDenseDistances); empty until frozen. Readers go through
-  /// DistData, which either aliases this vector (in-process freeze) or an
-  /// adopted snapshot mapping pinned by DenseKeepAlive.
-  mutable std::vector<int16_t> DistMatrix;
-  mutable const int16_t *DistData = nullptr;
-  mutable size_t DenseN = 0;
-  mutable std::shared_ptr<const void> DenseKeepAlive;
+  /// The ancestor CSR of this layer's types (row I is type
+  /// NumBaseTypes + I), appended in id order by fillAncestorRows(). Readers
+  /// go through the views, which alias the owned vectors or an adopted
+  /// snapshot mapping pinned by RowsKeepAlive; NumRows is published last.
+  mutable std::vector<uint32_t> RowOffsets{0};
+  mutable std::vector<AncestorEntry> RowEntries;
+  mutable const uint32_t *OffsetsV = RowOffsets.data();
+  mutable const AncestorEntry *EntriesV = nullptr;
+  mutable size_t NumRows = 0;
+  mutable std::shared_ptr<const void> RowsKeepAlive;
 
   TypeId ObjectTy, VoidTy, IntTy, LongTy, ShortTy, ByteTy, CharTy, FloatTy,
       DoubleTy, BoolTy, StringTy, NullTy;

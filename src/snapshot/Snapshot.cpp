@@ -21,13 +21,16 @@ using namespace petal::snapshot;
 static_assert(sizeof(MethodId) == 4 && sizeof(TypeId) == 4,
               "snapshot CSR payloads assume 32-bit ids");
 static_assert(sizeof(int16_t) == 2, "sanity");
+static_assert(sizeof(AncestorEntry) == 8, "ancestor CSR entry layout drifted");
 
 const char *snapshot::sectionKindName(uint32_t Kind) {
   switch (Kind) {
   case SecSourceText:
     return "sourceText";
-  case SecTypeDist:
-    return "typeDist";
+  case SecAncestorOffsets:
+    return "ancestorOffsets";
+  case SecAncestorEntries:
+    return "ancestorEntries";
   case SecReachConvF:
     return "reachConvFields";
   case SecReachConvM:
@@ -71,9 +74,9 @@ bool snapshot::writeSnapshot(const std::string &Path,
                              const AbsTypeSolution &Solution,
                              std::string &Error) {
   const TypeSystem &TS = Idx.typeSystem();
-  if (!Idx.frozen() || !TS.denseDistancesFrozen()) {
-    Error = "snapshot: corpus is not fully frozen (freeze() first), or has "
-            "too many types for the dense distance matrix";
+  if (!Idx.frozen() || TS.baseLayer()) {
+    Error = "snapshot: corpus is not frozen (freeze() first) or is an "
+            "overlay";
     return false;
   }
   if (Solution.parents().size() != Idx.Infer.numVars()) {
@@ -103,7 +106,8 @@ bool snapshot::writeSnapshot(const std::string &Path,
   Span<const size_t> FC = Idx.Members.frozenFieldCounts();
   std::vector<uint64_t> FieldCounts64(FC.begin(), FC.end());
 
-  Span<const int16_t> TypeDist = TS.denseDistanceTable();
+  Span<const uint32_t> AncOffs = TS.ancestorOffsets();
+  Span<const AncestorEntry> AncEntries = TS.ancestorEntries();
   Span<const int16_t> RConvF = Idx.Reach.denseConvTable(false);
   Span<const int16_t> RConvM = Idx.Reach.denseConvTable(true);
   Span<const uint32_t> MemberOffs = Idx.Members.frozenOffsets();
@@ -118,7 +122,9 @@ bool snapshot::writeSnapshot(const std::string &Path,
   };
   const Payload Payloads[] = {
       {SecSourceText, SourceText.data(), SourceText.size()},
-      {SecTypeDist, TypeDist.data(), TypeDist.size() * sizeof(int16_t)},
+      {SecAncestorOffsets, AncOffs.data(), AncOffs.size() * sizeof(uint32_t)},
+      {SecAncestorEntries, AncEntries.data(),
+       AncEntries.size() * sizeof(AncestorEntry)},
       {SecReachConvF, RConvF.data(), RConvF.size() * sizeof(int16_t)},
       {SecReachConvM, RConvM.data(), RConvM.size() * sizeof(int16_t)},
       {SecMemberOffsets, MemberOffs.data(),
@@ -380,14 +386,14 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
 
   // Shape-check every table against the resolved corpus before adoption.
   size_t MatrixBytes = N * N * sizeof(int16_t);
-  for (uint32_t K :
-       {SecTypeDist, SecReachConvF, SecReachConvM})
+  for (uint32_t K : {SecReachConvF, SecReachConvM})
     if (Secs[K]->Size != MatrixBytes) {
       Error = std::string("snapshot: section '") + sectionKindName(K) +
               "' has the wrong size for this corpus";
       return nullptr;
     }
-  if (Secs[SecMemberOffsets]->Size != (N + 1) * sizeof(uint32_t) ||
+  if (Secs[SecAncestorOffsets]->Size != (N + 1) * sizeof(uint32_t) ||
+      Secs[SecMemberOffsets]->Size != (N + 1) * sizeof(uint32_t) ||
       Secs[SecUnionOffsets]->Size != (N + 1) * sizeof(uint32_t) ||
       Secs[SecMemberFieldCounts]->Size != N * sizeof(uint64_t)) {
     Error = "snapshot: CSR offset sections have the wrong size for this "
@@ -395,6 +401,8 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
     return nullptr;
   }
 
+  const auto *AncOffs = reinterpret_cast<const uint32_t *>(
+      Data + Secs[SecAncestorOffsets]->Offset);
   const auto *MemberOffs = reinterpret_cast<const uint32_t *>(
       Data + Secs[SecMemberOffsets]->Offset);
   const auto *UnionOffs = reinterpret_cast<const uint32_t *>(
@@ -405,14 +413,26 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
         return false;
     return true;
   };
-  if (MemberOffs[0] != 0 || UnionOffs[0] != 0 || !monotone(MemberOffs) ||
-      !monotone(UnionOffs) ||
+  if (AncOffs[0] != 0 || MemberOffs[0] != 0 || UnionOffs[0] != 0 ||
+      !monotone(AncOffs) || !monotone(MemberOffs) || !monotone(UnionOffs) ||
+      Secs[SecAncestorEntries]->Size !=
+          size_t(AncOffs[N]) * sizeof(AncestorEntry) ||
       Secs[SecMemberEdges]->Size !=
           size_t(MemberOffs[N]) * sizeof(LookupEdge) ||
       Secs[SecUnionData]->Size != size_t(UnionOffs[N]) * sizeof(MethodId)) {
     Error = "snapshot: CSR payload inconsistent with its offsets";
     return nullptr;
   }
+  // Overlay reachability rows are indexed by ancestor id, so every entry
+  // must name a type of this corpus, at a real distance.
+  const auto *AncEntries = reinterpret_cast<const AncestorEntry *>(
+      Data + Secs[SecAncestorEntries]->Offset);
+  for (size_t I = 0; I != AncOffs[N]; ++I)
+    if (AncEntries[I].Type < 0 || AncEntries[I].Dist < 0 ||
+        static_cast<size_t>(AncEntries[I].Type) >= N) {
+      Error = "snapshot: corrupt ancestor CSR (entry out of range)";
+      return nullptr;
+    }
 
   // The solution parents array: one u32 per abstract-type variable, every
   // entry in range. The variable count must match the freshly harvested
@@ -441,9 +461,7 @@ snapshot::loadSnapshot(const std::string &Path, std::string &Error,
   // Everything checks out: adopt the mapped tables zero-copy. Each index
   // pins the mapping; the LoadedSnapshot's own File handle is for
   // telemetry, not lifetime.
-  Snap->TS->adoptDenseDistances(
-      reinterpret_cast<const int16_t *>(Data + Secs[SecTypeDist]->Offset), N,
-      File);
+  Snap->TS->adoptAncestorRows(AncOffs, AncEntries, File);
   Snap->Idx->Reach.adoptFrozen(
       reinterpret_cast<const int16_t *>(Data + Secs[SecReachConvF]->Offset),
       reinterpret_cast<const int16_t *>(Data + Secs[SecReachConvM]->Offset),
@@ -506,17 +524,6 @@ petal::baseCorpusFromSource(const std::string &Source, std::string &Error) {
 
   Base->Idx = std::make_shared<CompletionIndexes>(*Base->P);
   Base->Idx->freeze();
-  if (!Base->TS->denseDistancesFrozen()) {
-    // Overlays answer base×base relation queries from the base's dense
-    // matrix only. Refuse rather than build a base they cannot read.
-    size_t N = Base->TS->numTypes();
-    Error = "base corpus has " + std::to_string(N) +
-            " types; its type distance matrix (" +
-            std::to_string(N * N * sizeof(int16_t)) +
-            " bytes) exceeds the fixed TypeSystem::DenseDistanceBudget of " +
-            std::to_string(TypeSystem::DenseDistanceBudget) + " bytes";
-    return nullptr;
-  }
   Base->Solution = std::make_shared<AbsTypeSolution>(Base->Idx->Infer.solve());
   Base->BuildMillis = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - Start)

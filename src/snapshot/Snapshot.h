@@ -10,9 +10,9 @@
 /// a fully frozen corpus, written once (corpus_explorer --save-snapshot,
 /// petal_snapshot_tool --from) and mapped read-only by any number of petald
 /// processes afterwards (petal_serve --snapshot). Loading skips everything
-/// that makes a cold start expensive — the relation-cache warm-up, the O(N²)
-/// dense distance matrix, the two reachability BFS tables, the member and
-/// method-union CSR builds, and the whole-corpus abstract-type solve — by
+/// that makes a cold start expensive — the two reachability BFS tables, the
+/// member and method-union CSR builds, and the whole-corpus abstract-type
+/// solve — by
 /// adopting those tables straight out of the file mapping
 /// (zero-copy; the indexes pin the mapping via shared_ptr keep-alives).
 ///
@@ -46,8 +46,9 @@ namespace snapshot {
 
 /// Bumped on any incompatible layout change; a mismatch makes the loader
 /// refuse (the caller falls back to a full build). Version 2 dropped the
-/// two exact-type reachability matrices, which no query read.
-inline constexpr uint32_t FormatVersion = 2;
+/// two exact-type reachability matrices, which no query read; version 3
+/// replaced the N²×int16 type distance matrix with the ancestor CSR.
+inline constexpr uint32_t FormatVersion = 3;
 
 /// First eight bytes of every snapshot file.
 inline constexpr char Magic[8] = {'P', 'E', 'T', 'A', 'L', 'S', 'N', 'P'};
@@ -86,15 +87,16 @@ static_assert(sizeof(Header) == 88, "snapshot header layout drifted");
 /// element type they are reinterpreted as.
 enum SectionKind : uint32_t {
   SecSourceText = 1,   ///< the corpus source (bytes, not NUL-terminated)
-  SecTypeDist = 2,     ///< TypeSystem dense distances, N²×int16
-  SecReachConvF = 3,   ///< minLookupsToConvertible, fields-only, N²×int16
-  SecReachConvM = 4,   ///< minLookupsToConvertible, fields+methods
-  SecMemberOffsets = 5,    ///< member CSR offsets, (N+1)×uint32
-  SecMemberEdges = 6,      ///< member CSR payload, E×LookupEdge
-  SecMemberFieldCounts = 7, ///< leading-field-edge counts, N×uint64
-  SecUnionOffsets = 8,     ///< method-union CSR offsets, (N+1)×uint32
-  SecUnionData = 9,        ///< method-union CSR payload, U×MethodId
-  SecSolution = 10,        ///< abstract-type solution parents, V×uint32
+  SecAncestorOffsets = 2, ///< TypeSystem ancestor CSR offsets, (N+1)×uint32
+  SecAncestorEntries = 3, ///< ancestor CSR payload, A×AncestorEntry
+  SecReachConvF = 4,   ///< minLookupsToConvertible, fields-only, N²×int16
+  SecReachConvM = 5,   ///< minLookupsToConvertible, fields+methods
+  SecMemberOffsets = 6,    ///< member CSR offsets, (N+1)×uint32
+  SecMemberEdges = 7,      ///< member CSR payload, E×LookupEdge
+  SecMemberFieldCounts = 8, ///< leading-field-edge counts, N×uint64
+  SecUnionOffsets = 9,     ///< method-union CSR offsets, (N+1)×uint32
+  SecUnionData = 10,       ///< method-union CSR payload, U×MethodId
+  SecSolution = 11,        ///< abstract-type solution parents, V×uint32
 };
 
 /// One entry of the section table (follows the header, NumSections rows).
@@ -106,9 +108,8 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 24, "section entry layout drifted");
 
-/// Serializes a fully frozen corpus. \p Idx must be frozen over a type
-/// system whose dense distance matrix fits
-/// TypeSystem::DenseDistanceBudget, \p Solution must be the full-corpus
+/// Serializes a fully frozen corpus. \p Idx must be frozen over a
+/// monolithic type system, \p Solution must be the full-corpus
 /// solve with Idx.Infer.numVars() variables, and \p Shape must be
 /// shapeOfFile() of (the parse of) \p SourceText. Returns false with a
 /// description in \p Error on I/O failure or unmet preconditions.
@@ -154,17 +155,15 @@ struct SnapshotInfo {
 bool readSnapshotInfo(const std::string &Path, SnapshotInfo &Out,
                       std::string &Error);
 
-/// Human-readable name of a SectionKind ("sourceText", "typeDist", ...).
+/// Human-readable name of a SectionKind ("sourceText", "ancestorOffsets",
+/// ...).
 const char *sectionKindName(uint32_t Kind);
 
 } // namespace snapshot
 
 /// Parses, resolves, freezes, and solves \p Source as a base/overlay
 /// workspace's shared base layer (complete/BaseCorpus.h). Fails — null with
-/// a reason in \p Error — on parse/resolve errors, and also when the
-/// corpus's type distance matrix exceeds TypeSystem::DenseDistanceBudget:
-/// overlays answer base×base relation queries from the base's dense
-/// matrix.
+/// a reason in \p Error — on parse/resolve errors only.
 std::shared_ptr<const BaseCorpus>
 baseCorpusFromSource(const std::string &Source, std::string &Error);
 

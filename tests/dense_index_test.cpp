@@ -5,17 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// CompletionIndexes::freeze() builds every index table (CSR member edges,
-// pre-merged method-union spans, reachability tables — see DESIGN.md §11)
-// straight from the type graph. These tests check every cell of those
-// tables — every type, every (type, type) pair — against test-local
-// oracles that recompute each answer the slow, obvious way the retired
-// lazy caches once did ("legacy" below): on a generated monolithic corpus,
-// and on an overlay (the geometry base corpus plus one document). The
-// TypeSystem's own dense distance matrix is compared against a warmed
-// twin that stays on its lazy ancestor maps. A concurrent stress case
-// (run under TSan via scripts/ci.sh; the suite name matches the
-// IndexStress regex) hammers the lock-free tables from eight threads.
+// CompletionIndexes::freeze() builds every index table (the TypeSystem's
+// ancestor CSR, CSR member edges, pre-merged method-union spans,
+// reachability tables — see DESIGN.md §11) straight from the type graph.
+// These tests check every cell of those tables — every type, every
+// (type, type) pair — against test-local oracles that recompute each
+// answer the slow, obvious way the retired lazy caches once did ("legacy"
+// below): on a generated monolithic corpus, and on an overlay (the
+// geometry base corpus plus one document). A concurrent stress case (run
+// under TSan via scripts/ci.sh; the suite name matches the IndexStress
+// regex) hammers the lock-free tables from eight threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +41,62 @@ namespace {
 //===----------------------------------------------------------------------===//
 // Oracles
 //===----------------------------------------------------------------------===//
+
+/// td(From, T) for every T, indexed [From][T]: a BFS over
+/// immediateSupertypes from each type, except that `null` converts at
+/// distance 0 to every reference type.
+using DistanceOracle = std::vector<std::vector<std::optional<int>>>;
+DistanceOracle distanceOracle(const TypeSystem &TS) {
+  size_t N = TS.numTypes();
+  DistanceOracle Dist(N, std::vector<std::optional<int>>(N));
+  for (size_t F = 0; F != N; ++F) {
+    std::vector<std::optional<int>> &Row = Dist[F];
+    TypeId From = static_cast<TypeId>(F);
+    if (From == TS.nullType()) {
+      for (size_t T = 0; T != N; ++T)
+        if (TS.isReferenceType(static_cast<TypeId>(T)))
+          Row[T] = 0;
+      continue;
+    }
+    Row[F] = 0;
+    std::vector<TypeId> Work{From};
+    for (size_t I = 0; I != Work.size(); ++I)
+      for (TypeId S : TS.immediateSupertypes(Work[I]))
+        if (!Row[S]) {
+          Row[S] = *Row[Work[I]] + 1;
+          Work.push_back(S);
+        }
+  }
+  return Dist;
+}
+
+/// typeDistance, implicitlyConvertible and operandDistance on every pair.
+void expectTypeDistancesMatchOracle(const TypeSystem &TS,
+                                    const DistanceOracle &Dist) {
+  size_t N = TS.numTypes();
+  for (size_t F = 0; F != N; ++F)
+    for (size_t T = 0; T != N; ++T) {
+      TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
+      ASSERT_EQ(TS.typeDistance(From, To), Dist[F][T])
+          << TS.qualifiedName(From) << " -> " << TS.qualifiedName(To);
+      ASSERT_EQ(TS.implicitlyConvertible(From, To), Dist[F][T].has_value())
+          << TS.qualifiedName(From) << " -> " << TS.qualifiedName(To);
+      ASSERT_EQ(TS.operandDistance(From, To),
+                Dist[F][T] ? Dist[F][T] : Dist[T][F])
+          << TS.qualifiedName(From) << " <> " << TS.qualifiedName(To);
+    }
+}
+
+/// Every pair's answers, read before freeze() (the path the resolver and
+/// the corpus generator take, filling rows on first use).
+std::vector<std::optional<int>> allDistances(const TypeSystem &TS) {
+  std::vector<std::optional<int>> Out;
+  for (size_t F = 0; F != TS.numTypes(); ++F)
+    for (size_t T = 0; T != TS.numTypes(); ++T)
+      Out.push_back(TS.typeDistance(static_cast<TypeId>(F),
+                                    static_cast<TypeId>(T)));
+  return Out;
+}
 
 /// Member edges of \p T: non-static visible fields, then zero-argument,
 /// non-void, non-static visible methods.
@@ -83,6 +138,7 @@ std::vector<MethodId> methodUnionOracle(const TypeSystem &TS,
 /// or fields + zero-arg methods) that stops expanding at \p MaxDepth, then
 /// for every target the nearest reached type convertible to it.
 std::vector<std::optional<int>> reachRowOracle(const TypeSystem &TS,
+                                               const DistanceOracle &TD,
                                                const MemberCache &MC,
                                                TypeId From, bool Methods,
                                                int MaxDepth = 8) {
@@ -101,8 +157,7 @@ std::vector<std::optional<int>> reachRowOracle(const TypeSystem &TS,
   std::vector<std::optional<int>> Row(TS.numTypes());
   for (size_t T = 0; T != TS.numTypes(); ++T)
     for (const auto &[Ty, D] : Dist)
-      if (TS.implicitlyConvertible(Ty, static_cast<TypeId>(T)) &&
-          (!Row[T] || D < *Row[T]))
+      if (TD[Ty][T] && (!Row[T] || D < *Row[T]))
         Row[T] = D;
   return Row;
 }
@@ -150,11 +205,12 @@ void expectMethodsMatchOracle(const TypeSystem &TS, const MethodIndex &MI) {
 
 void expectReachMatchesOracle(const TypeSystem &TS, const MemberCache &MC,
                               const ReachabilityIndex &RI) {
+  DistanceOracle TD = distanceOracle(TS);
   for (size_t F = 0; F != TS.numTypes(); ++F)
     for (bool Methods : {false, true}) {
       TypeId From = static_cast<TypeId>(F);
       std::vector<std::optional<int>> Want =
-          reachRowOracle(TS, MC, From, Methods);
+          reachRowOracle(TS, TD, MC, From, Methods);
       for (size_t T = 0; T != TS.numTypes(); ++T)
         ASSERT_EQ(RI.minLookupsToConvertible(From, static_cast<TypeId>(T),
                                              Methods),
@@ -169,39 +225,32 @@ void expectReachMatchesOracle(const TypeSystem &TS, const MemberCache &MC,
 // Monolithic corpus
 //===----------------------------------------------------------------------===//
 
-/// One generated corpus frozen into the flat tables, plus an identically
-/// generated twin TypeSystem that is warmed but never dense-frozen.
+/// One generated corpus frozen into the flat tables. The generator's own
+/// relation queries fill the ancestor rows before freeze(); PreFreeze
+/// records every pair's distance as read then.
 class DenseEquivalenceTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    ProjectProfile Prof = paperProjectProfiles(0.15)[2];
-
     TS = std::make_unique<TypeSystem>();
     P = std::make_unique<Program>(*TS);
-    CorpusGenerator(Prof).generate(*P);
+    CorpusGenerator(paperProjectProfiles(0.15)[2]).generate(*P);
+    PreFreeze = allDistances(*TS);
     Idx = std::make_unique<CompletionIndexes>(*P);
     Idx->freeze();
-
-    LegacyTS = std::make_unique<TypeSystem>();
-    LegacyP = std::make_unique<Program>(*LegacyTS);
-    CorpusGenerator(Prof).generate(*LegacyP);
-    LegacyTS->warmRelationCaches();
-
-    ASSERT_EQ(TS->numTypes(), LegacyTS->numTypes());
   }
 
-  std::unique_ptr<TypeSystem> TS, LegacyTS;
-  std::unique_ptr<Program> P, LegacyP;
+  std::unique_ptr<TypeSystem> TS;
+  std::unique_ptr<Program> P;
   std::unique_ptr<CompletionIndexes> Idx;
+  std::vector<std::optional<int>> PreFreeze;
 };
 
 TEST_F(DenseEquivalenceTest, FreezeModesTakeTheIntendedRepresentation) {
   EXPECT_TRUE(Idx->frozen());
-  EXPECT_TRUE(TS->denseDistancesFrozen());
+  EXPECT_TRUE(TS->ancestorRowsComplete());
   EXPECT_TRUE(Idx->Members.frozen());
   EXPECT_TRUE(Idx->Methods.frozen());
   EXPECT_TRUE(Idx->Reach.frozen());
-  EXPECT_FALSE(LegacyTS->denseDistancesFrozen());
 
   // Before freeze() an index holds no tables at all; freeze() builds all
   // three, and engine construction freezes on its own.
@@ -217,17 +266,26 @@ TEST_F(DenseEquivalenceTest, FreezeModesTakeTheIntendedRepresentation) {
   EXPECT_TRUE(Fresh.Reach.frozen());
 }
 
-TEST_F(DenseEquivalenceTest, TypeDistancesMatchLegacyOnEveryPair) {
-  size_t N = TS->numTypes();
-  for (size_t F = 0; F != N; ++F)
-    for (size_t T = 0; T != N; ++T) {
-      TypeId From = static_cast<TypeId>(F), To = static_cast<TypeId>(T);
-      ASSERT_EQ(TS->implicitlyConvertible(From, To),
-                LegacyTS->implicitlyConvertible(From, To))
-          << TS->qualifiedName(From) << " -> " << TS->qualifiedName(To);
-      ASSERT_EQ(TS->typeDistance(From, To), LegacyTS->typeDistance(From, To))
-          << TS->qualifiedName(From) << " -> " << TS->qualifiedName(To);
-    }
+TEST_F(DenseEquivalenceTest, TypeDistancesMatchOracleOnEveryPair) {
+  expectTypeDistancesMatchOracle(*TS, distanceOracle(*TS));
+  // Rows filled by the generator's queries answer as the frozen CSR does.
+  EXPECT_EQ(allDistances(*TS), PreFreeze);
+  // The CSR is what it claims: one sorted row per type, self at 0.
+  Span<const uint32_t> Offsets = TS->ancestorOffsets();
+  ASSERT_EQ(Offsets.size(), TS->numTypes() + 1);
+  EXPECT_EQ(Offsets[TS->numTypes()], TS->ancestorEntries().size());
+  for (size_t T = 0; T != TS->numTypes(); ++T) {
+    Span<const AncestorEntry> Row = TS->ancestors(static_cast<TypeId>(T));
+    EXPECT_TRUE(std::is_sorted(Row.begin(), Row.end(),
+                               [](const AncestorEntry &A,
+                                  const AncestorEntry &B) {
+                                 return A.Type < B.Type;
+                               }));
+    EXPECT_TRUE(
+        std::any_of(Row.begin(), Row.end(), [&](const AncestorEntry &A) {
+          return A.Type == static_cast<TypeId>(T) && A.Dist == 0;
+        }));
+  }
 }
 
 TEST_F(DenseEquivalenceTest, ReachabilityMatchesLegacyOnEveryPair) {
@@ -286,6 +344,7 @@ protected:
     ASSERT_TRUE(loadProgramText(OverlayDoc, *P, Diags));
     ASSERT_GT(TS->numTypes(), TS->numBaseTypes());
     ASSERT_GT(TS->numMethods(), TS->numBaseMethods());
+    PreFreeze = allDistances(*TS);
     Idx = std::make_unique<CompletionIndexes>(*P, Base);
     Idx->freeze();
   }
@@ -294,7 +353,17 @@ protected:
   std::unique_ptr<TypeSystem> TS;
   std::unique_ptr<Program> P;
   std::unique_ptr<CompletionIndexes> Idx;
+  std::vector<std::optional<int>> PreFreeze;
 };
+
+TEST_F(OverlayIndexOracleTest, TypeDistancesMatchOracleOnEveryPair) {
+  // Base×base, base×overlay and overlay×overlay pairs alike; the overlay
+  // keeps rows for its own types only.
+  expectTypeDistancesMatchOracle(*TS, distanceOracle(*TS));
+  EXPECT_EQ(allDistances(*TS), PreFreeze);
+  EXPECT_EQ(TS->ancestorOffsets().size(),
+            TS->numTypes() - TS->numBaseTypes() + 1);
+}
 
 TEST_F(OverlayIndexOracleTest, MemberEdgeListsMatchOracle) {
   expectMembersMatchOracle(*TS, Idx->Members);
@@ -319,7 +388,7 @@ TEST_F(OverlayIndexOracleTest, ReachabilityMatchesOracleOnEveryPair) {
 // Concurrent stress over the lock-free tables (TSan: scripts/ci.sh)
 //===----------------------------------------------------------------------===//
 
-/// Eight threads hammer the dense matrices and CSR spans with the *same*
+/// Eight threads hammer the reachability tables and CSR spans with the *same*
 /// access pattern: every per-thread checksum must agree with a serial
 /// recompute (a torn read or partially published table would diverge).
 /// The suite name contains "IndexStress" so the TSan CI leg picks it up.
@@ -330,7 +399,7 @@ TEST(DenseIndexStressTest, EightThreadsReadLockFreeTablesConsistently) {
   CompletionIndexes Idx(P);
   Idx.freeze();
   ASSERT_TRUE(Idx.Reach.frozen());
-  ASSERT_TRUE(TS.denseDistancesFrozen());
+  ASSERT_TRUE(TS.ancestorRowsComplete());
 
   auto Checksum = [&] {
     uint64_t Sum = 0;

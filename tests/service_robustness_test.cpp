@@ -402,9 +402,11 @@ TEST(IsolationTest, DeadlineAbandonedBuildLeavesSessionConsistent) {
 
   // A v2 text big enough that its build cannot finish inside the deadline:
   // the deadline passes the pickup check (the worker is idle), then
-  // expires at one of the build's phase boundaries.
+  // expires at one of the build's phase boundaries. 800 filler classes
+  // built in about 8 ms once the type system stopped filling an N×N
+  // distance matrix, so the margin is now several times the deadline.
   std::string Big(corpora::GeometryCorpus);
-  for (int I = 0; I != 800; ++I) {
+  for (int I = 0; I != 4000; ++I) {
     std::string N = std::to_string(I);
     Big += "class Filler" + N + " {\n"
            "  System.Windows.Point Origin" + N + ";\n"

@@ -71,7 +71,7 @@ CompleteSpec spec(const std::string &Class, const std::string &Method,
 /// The query battery, crossed with every ranking shape the snapshot can
 /// influence: the full default, no ranking at all, one ordinary term off,
 /// and *only* the two terms whose inputs live in the snapshot (type
-/// distance reads the mapped distance matrix, abstract types the
+/// distance reads the mapped ancestor CSR, abstract types the
 /// deserialized solution).
 std::vector<CompleteSpec> queryBattery() {
   std::vector<CompleteSpec> Qs;
@@ -264,17 +264,19 @@ TEST(SnapshotTest, AdoptedTablesAliasTheMappingZeroCopy) {
   ASSERT_TRUE(Snap->Mapped);
   ASSERT_NE(Snap->File, nullptr);
   EXPECT_TRUE(Snap->Idx->frozen());
-  EXPECT_TRUE(Snap->TS->denseDistancesFrozen());
+  EXPECT_TRUE(Snap->TS->ancestorRowsComplete());
 
-  // The dense distance matrix must point *into* the file image — adopted,
-  // not copied. (The other tables go through the same adoption plumbing;
-  // this is the observable witness.)
+  // The ancestor CSR must point *into* the file image — adopted, not
+  // copied. (The other tables go through the same adoption plumbing; this
+  // is the observable witness.)
   const char *Begin = Snap->File->data();
   const char *End = Begin + Snap->File->size();
-  const auto *Dist =
-      reinterpret_cast<const char *>(Snap->TS->denseDistanceTable().data());
-  EXPECT_GE(Dist, Begin);
-  EXPECT_LT(Dist, End);
+  for (const char *P :
+       {reinterpret_cast<const char *>(Snap->TS->ancestorOffsets().data()),
+        reinterpret_cast<const char *>(Snap->TS->ancestorEntries().data())}) {
+    EXPECT_GE(P, Begin);
+    EXPECT_LT(P, End);
+  }
 }
 
 TEST(SnapshotTest, BufferedReadFallbackMatchesTheMapping) {
@@ -407,7 +409,7 @@ TEST(SnapshotTest, FlippedByteInEverySectionIsDetected) {
   ASSERT_TRUE(writeCorpusSnapshot(baseText(), Good, Error)) << Error;
   snapshot::SnapshotInfo Info;
   ASSERT_TRUE(snapshot::readSnapshotInfo(Good, Info, Error)) << Error;
-  ASSERT_EQ(Info.Sections.size(), 10u);
+  ASSERT_EQ(Info.Sections.size(), 11u);
 
   const std::vector<char> Bytes = readFileBytes(Good);
   const std::string Path = tmpPath("flip.snap");
@@ -458,11 +460,13 @@ TEST(SnapshotTest, HeaderFaultsAreDetected) {
   LoadExpectingFailure(
       Patched([](snapshot::Header &H) { H.Version += 1; }),
       "format version mismatch");
-  // A format-1 image (the layout that still carried the exact-type
-  // reachability matrices) is refused, so callers fall back to a cold
-  // build.
-  LoadExpectingFailure(Patched([](snapshot::Header &H) { H.Version = 1; }),
-                       "format version mismatch");
+  // Format-1 and format-2 images (the layouts that still carried the
+  // exact-type reachability matrices and the dense type distance matrix)
+  // are refused, so callers fall back to a cold build.
+  for (uint32_t Old : {1u, 2u})
+    LoadExpectingFailure(
+        Patched([Old](snapshot::Header &H) { H.Version = Old; }),
+        "format version mismatch");
   LoadExpectingFailure(
       Patched([](snapshot::Header &H) { H.TypeGraphHash ^= 1; }), "stale");
   LoadExpectingFailure(
@@ -486,6 +490,92 @@ TEST(SnapshotTest, HeaderFaultsAreDetected) {
     std::memcpy(Image.data(), &Hdr, sizeof(Hdr));
     LoadExpectingFailure(Image, "header checksum mismatch");
   }
+  expectColdFallbackWorks();
+}
+
+TEST(SnapshotTest, OutOfRangeAncestorCsrIsRejected) {
+  // A CRC only proves the bytes are the ones the writer (or an attacker)
+  // stamped. Corrupt the ancestor CSR and re-stamp every checksum, so only
+  // the loader's range check stands between the bytes and row scans.
+  const std::string Good = tmpPath("anc_good.snap");
+  std::string Error;
+  ASSERT_TRUE(writeCorpusSnapshot(baseText(), Good, Error)) << Error;
+  snapshot::SnapshotInfo Info;
+  ASSERT_TRUE(snapshot::readSnapshotInfo(Good, Info, Error)) << Error;
+  const std::vector<char> Bytes = readFileBytes(Good);
+
+  size_t OffsIdx = Info.Sections.size(), EntriesIdx = Info.Sections.size();
+  for (size_t I = 0; I != Info.Sections.size(); ++I) {
+    if (Info.Sections[I].Kind == snapshot::SecAncestorOffsets)
+      OffsIdx = I;
+    if (Info.Sections[I].Kind == snapshot::SecAncestorEntries)
+      EntriesIdx = I;
+  }
+  ASSERT_LT(OffsIdx, Info.Sections.size());
+  ASSERT_LT(EntriesIdx, Info.Sections.size());
+
+  // Applies \p Mutate to the payload of section \p Idx, then re-stamps that
+  // section's CRC and the header CRC that covers the section table.
+  auto Corrupted = [&](size_t Idx, auto &&Mutate) {
+    std::vector<char> Image = Bytes;
+    snapshot::SectionEntry S = Info.Sections[Idx];
+    Mutate(Image.data() + S.Offset, S.Size);
+    S.Crc = crc32(Image.data() + S.Offset, S.Size);
+    std::memcpy(Image.data() + sizeof(snapshot::Header) +
+                    Idx * sizeof(snapshot::SectionEntry),
+                &S, sizeof(S));
+    restampHeaderCrc(Image);
+    return Image;
+  };
+  auto SetOffset = [](char *P, size_t I, uint32_t V) {
+    std::memcpy(P + I * sizeof(uint32_t), &V, sizeof(V));
+  };
+  auto GetOffset = [](const char *P, size_t I) {
+    uint32_t V;
+    std::memcpy(&V, P + I * sizeof(uint32_t), sizeof(V));
+    return V;
+  };
+  auto SetFirstEntry = [](char *P, TypeId Type, int16_t Dist) {
+    AncestorEntry E;
+    std::memcpy(&E, P, sizeof(E));
+    E.Type = Type;
+    E.Dist = Dist;
+    std::memcpy(P, &E, sizeof(E));
+  };
+
+  const std::string Path = tmpPath("anc.snap");
+  auto ExpectRejected = [&](const std::vector<char> &Image,
+                            const char *WantInError) {
+    writeFileBytes(Path, Image);
+    std::string LoadError;
+    EXPECT_EQ(snapshot::loadSnapshot(Path, LoadError), nullptr);
+    EXPECT_EQ(LoadError.rfind("snapshot: ", 0), 0u) << LoadError;
+    EXPECT_NE(LoadError.find(WantInError), std::string::npos) << LoadError;
+  };
+
+  // Offsets out of order: row 1 ends before it starts.
+  ExpectRejected(Corrupted(OffsIdx,
+                           [&](char *P, size_t) {
+                             SetOffset(P, 1, GetOffset(P, 2) + 1);
+                           }),
+                 "inconsistent with its offsets");
+  // The last offset promises more entries than the section holds.
+  ExpectRejected(Corrupted(OffsIdx,
+                           [&](char *P, size_t Size) {
+                             size_t Last = Size / sizeof(uint32_t) - 1;
+                             SetOffset(P, Last, GetOffset(P, Last) + 1);
+                           }),
+                 "inconsistent with its offsets");
+  // An ancestor id past the type population, then a negative distance.
+  TypeId PastLast = static_cast<TypeId>(Info.Hdr.NumTypes);
+  ExpectRejected(Corrupted(EntriesIdx,
+                           [&](char *P, size_t) {
+                             SetFirstEntry(P, PastLast, 0);
+                           }),
+                 "ancestor CSR");
+  ExpectRejected(
+      Corrupted(EntriesIdx, [&](char *P, size_t) { SetFirstEntry(P, 0, -1); }),
+      "ancestor CSR");
   expectColdFallbackWorks();
 }
 
@@ -533,7 +623,7 @@ TEST(SnapshotTest, InfoReportsTheFullSectionTable) {
   snapshot::SnapshotInfo Info;
   ASSERT_TRUE(snapshot::readSnapshotInfo(Path, Info, Error)) << Error;
   EXPECT_EQ(Info.Hdr.Version, snapshot::FormatVersion);
-  EXPECT_EQ(Info.Sections.size(), 10u);
+  EXPECT_EQ(Info.Sections.size(), 11u);
   EXPECT_GT(Info.FileBytes, sizeof(snapshot::Header));
   for (const snapshot::SectionEntry &S : Info.Sections) {
     EXPECT_EQ(S.Offset % 8, 0u) << snapshot::sectionKindName(S.Kind);

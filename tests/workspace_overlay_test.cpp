@@ -214,7 +214,7 @@ TEST(WorkspaceOverlayTest, SharedBaseSurvivesConcurrentOverlayQueries) {
   // Eight overlay documents over ONE base corpus, each queried from its
   // own thread (sessions are strands: concurrency is across documents,
   // never within one). Every shared structure the threads touch — the base
-  // TypeSystem's dense matrix, the frozen CSR tables, the base solution
+  // TypeSystem's ancestor CSR, the frozen CSR tables, the base solution
   // parents — is read-only; TSan must observe no races, and every answer
   // must match the serially computed monolithic twin.
   std::shared_ptr<const BaseCorpus> Base = buildBase();
