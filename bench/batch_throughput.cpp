@@ -7,7 +7,9 @@
 //
 // Measures end-to-end completion throughput (queries/second) of the
 // BatchExecutor at 1, 2, 4, and hardware_concurrency() threads, over the
-// harvested ?({arg}) method queries of one mid-size synthetic project. The
+// harvested ?({arg}) method queries of one mid-size synthetic project, plus
+// one single-thread row over the same calls posed as argument queries
+// M(..., ?, ...) (§5.2: the first guessable argument made a hole). The
 // paper evaluates per-query latency (§5.1–5.3); this benchmark adds the
 // batch dimension the parallel executor introduces: replaying a whole
 // corpus worth of queries, as the experiment drivers do.
@@ -78,6 +80,9 @@ struct BatchFixture {
   std::unique_ptr<Program> P;
   std::unique_ptr<CompletionIndexes> Idx;
   std::vector<BatchExecutor::Request> Requests;
+  /// The argument family: each harvested call with its first guessable
+  /// declared argument replaced by a hole, callee resolved.
+  std::vector<BatchExecutor::Request> ArgsRequests;
 
   static BatchFixture &get() {
     static BatchFixture F;
@@ -111,6 +116,28 @@ private:
           std::vector<const PartialExpr *>{A.create<ConcretePE>(Arg)});
       Requests.push_back({Q, CS.Site, 10, {}, nullptr});
     }
+
+    for (const CallSiteInfo &CS : Sites.Calls) {
+      const MethodInfo &MI = TS->method(CS.Call->method());
+      std::vector<const PartialExpr *> Args;
+      if (!MI.IsStatic)
+        Args.push_back(A.create<ConcretePE>(CS.Call->receiver()));
+      bool Hole = false;
+      for (const Expr *E : CS.Call->args()) {
+        if (!Hole && isGuessableExpr(E)) {
+          Args.push_back(A.create<HolePE>());
+          Hole = true;
+        } else {
+          Args.push_back(A.create<ConcretePE>(E));
+        }
+      }
+      if (!Hole)
+        continue;
+      const PartialExpr *Q = A.create<KnownCallPE>(
+          MI.Name, std::move(Args),
+          std::vector<MethodId>{CS.Call->method()});
+      ArgsRequests.push_back({Q, CS.Site, 10, {}, nullptr});
+    }
   }
 };
 
@@ -139,25 +166,30 @@ double measureQps(BatchExecutor &Exec,
   return static_cast<double>(Reps * Requests.size()) / Elapsed;
 }
 
-/// The manual sweep: queries/second per thread count.
-std::vector<std::pair<size_t, double>> runSweep() {
+/// The manual sweep: queries/second per thread count, plus the argument
+/// family's single-thread queries/second in \p ArgsQps.
+std::vector<std::pair<size_t, double>> runSweep(double &ArgsQps) {
   BatchFixture &F = BatchFixture::get();
   std::cout << "batched queries per run: " << F.Requests.size()
-            << " (hardware threads: " << std::thread::hardware_concurrency()
-            << ")\n\n";
+            << " method, " << F.ArgsRequests.size()
+            << " args (hardware threads: "
+            << std::thread::hardware_concurrency() << ")\n\n";
 
   std::vector<std::pair<size_t, double>> Rows;
   for (size_t T : threadCounts()) {
     BatchExecutor Exec(*F.P, *F.Idx, T);
     Rows.emplace_back(T, measureQps(Exec, F.Requests));
   }
+  BatchExecutor Serial(*F.P, *F.Idx, 1);
+  ArgsQps = measureQps(Serial, F.ArgsRequests);
   return Rows;
 }
 
 /// Runs the manual sweep, prints the table, and snapshots the results.
 void sweepAndSnapshot() {
   BatchFixture &F = BatchFixture::get();
-  std::vector<std::pair<size_t, double>> Rows = runSweep();
+  double ArgsQps = 0;
+  std::vector<std::pair<size_t, double>> Rows = runSweep(ArgsQps);
 
   double Base = Rows.front().second;
   TextTable Tab;
@@ -168,7 +200,9 @@ void sweepAndSnapshot() {
     Tab.addRow({std::to_string(T), formatFixed(Qps, 1),
                 formatFixed(Qps / Base, 2) + "x",
                 formatFixed(Qps / Base / static_cast<double>(T), 2)});
-  std::cout << "Batch throughput (manual sweep):\n";
+  Tab.addRow({"1 (args)", formatFixed(ArgsQps, 1), "-", "-"});
+  std::cout << "Batch throughput (manual sweep; the args row times "
+               "M(..., ?, ...) queries):\n";
   Tab.print(std::cout);
   std::cout << "\n";
 
@@ -192,7 +226,11 @@ void sweepAndSnapshot() {
        << ", \"efficiency\": " << formatFixed(Rows[I].second / Base / T, 3)
        << "}" << (I + 1 == Rows.size() ? "\n" : ",\n");
   }
-  OS << "  ]\n}\n";
+  OS << "  ],\n"
+     << "  \"args_queries_per_batch\": " << F.ArgsRequests.size() << ",\n"
+     << "  \"args_results\": [\n"
+     << "    {\"threads\": 1, \"qps\": " << formatFixed(ArgsQps, 1) << "}\n"
+     << "  ]\n}\n";
   std::cout << "wrote " << Dir << "/BENCH_batch.json\n\n";
 }
 
@@ -223,33 +261,40 @@ int checkAgainst(const std::string &File, double TolerancePct) {
   for (const json::Value &Row : Results->elements())
     Baseline[static_cast<size_t>(Row.getInt("threads", 0))] =
         Row.getNumber("qps", 0);
+  double ArgsBaseline = -1; // absent from older snapshots
+  if (const json::Value *Args = Snapshot.find("args_results"))
+    if (Args->isArray() && !Args->elements().empty())
+      ArgsBaseline = Args->elements().front().getNumber("qps", -1);
   if (std::abs(Snapshot.getNumber("scale", -1) - activeScale()) > 1e-9)
     std::cout << "note: baseline was recorded at scale "
               << formatFixed(Snapshot.getNumber("scale", -1), 2)
               << ", current scale is " << formatFixed(activeScale(), 2)
               << " — comparison is not meaningful across scales\n\n";
 
-  std::vector<std::pair<size_t, double>> Rows = runSweep();
+  double ArgsQps = 0;
+  std::vector<std::pair<size_t, double>> Rows = runSweep(ArgsQps);
 
   TextTable Tab;
   Tab.setHeader({"threads", "baseline q/s", "current q/s", "delta",
                  "verdict"});
   bool Regressed = false;
-  for (const auto &[T, Qps] : Rows) {
-    auto It = Baseline.find(T);
-    if (It == Baseline.end()) {
-      Tab.addRow({std::to_string(T), "-", formatFixed(Qps, 1), "-",
-                  "no baseline"});
-      continue;
+  auto Compare = [&](const std::string &Label, double Want, double Qps) {
+    if (Want <= 0) {
+      Tab.addRow({Label, "-", formatFixed(Qps, 1), "-", "no baseline"});
+      return;
     }
-    double DeltaPct = (Qps - It->second) / It->second * 100.0;
+    double DeltaPct = (Qps - Want) / Want * 100.0;
     bool Bad = DeltaPct < -TolerancePct;
     Regressed |= Bad;
-    Tab.addRow({std::to_string(T), formatFixed(It->second, 1),
-                formatFixed(Qps, 1),
+    Tab.addRow({Label, formatFixed(Want, 1), formatFixed(Qps, 1),
                 (DeltaPct >= 0 ? "+" : "") + formatFixed(DeltaPct, 1) + "%",
                 Bad ? "REGRESSION" : "ok"});
+  };
+  for (const auto &[T, Qps] : Rows) {
+    auto It = Baseline.find(T);
+    Compare(std::to_string(T), It == Baseline.end() ? -1 : It->second, Qps);
   }
+  Compare("1 (args)", ArgsBaseline, ArgsQps);
   std::cout << "Throughput vs '" << File << "' (tolerance "
             << formatFixed(TolerancePct, 1) << "%):\n";
   Tab.print(std::cout);

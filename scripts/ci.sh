@@ -27,7 +27,9 @@
 #      overlays outliving or outlived by their base corpus), the type
 #      system and frozen-index oracle suites (every ancestor-row scan and
 #      table read, over owned storage and, via the snapshot suites, over
-#      adopted mappings), and a
+#      adopted mappings), the engine and score-oracle suites (pending
+#      combinations keep their argument arrays in scratch memory until
+#      their bucket is drained), and a
 #      snapshot save/load round trip through the real CLI tools —
 #      the fault-injection tests must reject corrupt images by returning
 #      an error, never by touching bytes outside the mapping. Then the
@@ -88,7 +90,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPETAL_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos|DenseEquivalence|OverlayIndexOracle|TypeSystem|TypeDistance'
+  -R 'Service|Framing|Json|Robustness|Fuzz|Parser|Lexer|SessionIncremental|Snapshot|WorkspaceOverlay|Backpressure|Isolation|FaultRecovery|FaultInjector|Chaos|DenseEquivalence|OverlayIndexOracle|TypeSystem|TypeDistance|Engine|BruteForce|GeneratedOracle|Explain|ScoreCard|StreamOracle'
 
 echo
 echo "== [3/5]   snapshot save/load round trip through the CLI tools (ASan)"

@@ -11,9 +11,11 @@
 /// compiles to a stream that can produce, for each integer score S in
 /// increasing order, exactly the completions whose total score is S.
 /// Composite streams (unknown calls, comparisons, ...) combine child
-/// buckets whose sums fit under S and buffer any overshoot in a pending
-/// min-heap — the paper's "compute completions not in score order" and
-/// "cache subexpression scores" optimizations fall out of this design.
+/// buckets whose sums fit under S, score each combination from its parts,
+/// and queue any overshoot by score until its bucket is drained, building
+/// the expression only then — the paper's "compute completions not in
+/// score order" and "cache subexpression scores" optimizations fall out of
+/// this design.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,7 @@
 #include "support/Arena.h"
 
 #include <cassert>
+#include <cstdint>
 #include <vector>
 
 namespace petal {
@@ -45,6 +48,19 @@ struct Candidate {
 /// ends. A default-constructed CandidateVec (no arena) uses the heap,
 /// which keeps streams usable standalone in tests.
 using CandidateVec = std::vector<Candidate, ArenaAllocator<Candidate>>;
+
+/// Per-query enumeration counters, shared by every stream of one query
+/// (surfaced as CompletionEngine::QueryStats and summed into $/stats).
+struct QueryCounters {
+  /// Call, comparison and assignment combinations that type-checked and
+  /// were scored.
+  uint64_t CombosScored = 0;
+  /// Combinations whose bucket was drained, so their expression was built
+  /// (never more than CombosScored).
+  uint64_t ExprsMaterialised = 0;
+  /// Buckets filled, summed over every stream.
+  uint64_t BucketsScanned = 0;
+};
 
 /// Base class of all candidate streams. bucket(S) returns the candidates of
 /// exactly score S; buckets are computed on demand, strictly in order, and
@@ -70,6 +86,8 @@ public:
     while (static_cast<int>(Buckets.size()) <= S) {
       int Cur = static_cast<int>(Buckets.size());
       Buckets.emplace_back(ArenaAllocator<Candidate>(Scratch));
+      if (Counters)
+        ++Counters->BucketsScanned;
       fillBucket(Cur, Buckets.back());
     }
     return Buckets[S];
@@ -85,6 +103,9 @@ public:
   void setScratch(Arena *A) { Scratch = A; }
   Arena *scratch() const { return Scratch; }
 
+  /// Counts this stream's bucket fills into \p C (nullptr = uncounted).
+  void setCounters(QueryCounters *C) { Counters = C; }
+
   /// Whether a bucket beyond the ceiling was ever requested.
   bool ceilingHit() const { return CeilingHit; }
 
@@ -96,6 +117,7 @@ protected:
 private:
   std::vector<CandidateVec> Buckets;
   Arena *Scratch = nullptr;
+  QueryCounters *Counters = nullptr;
   int Ceiling = -1;
   bool CeilingHit = false;
   static inline const CandidateVec EmptyBucket{};

@@ -122,8 +122,9 @@ CompletionEngine::complete(const PartialExpr *Query, const CodeSite &Site,
 
   // Fresh arena for this query's synthesized expressions. A second,
   // *scratch* arena backs everything the enumeration allocates but the
-  // caller never sees — stream buckets, expansion pools, pending heaps,
-  // and the scorers' per-call argument buffers. Keeping them separate
+  // caller never sees — stream buckets, expansion pools, pending
+  // combinations and their argument arrays, and the scorers' per-call
+  // argument buffers. Keeping them separate
   // matters for batching: the result arena is handed off with the
   // completions (takeQueryArena), and must not drag dead enumeration
   // storage along with it. Scratch dies at the end of this call.
@@ -169,12 +170,18 @@ CompletionEngine::complete(const PartialExpr *Query, const CodeSite &Site,
     return {};
 
   std::vector<Completion> Results;
+  auto Count = [&] {
+    Stats.CombosScored = ES.Counts.CombosScored;
+    Stats.ExprsMaterialised = ES.Counts.ExprsMaterialised;
+    Stats.BucketsScanned = ES.Counts.BucketsScanned;
+  };
   for (int S = 0; S <= EffMaxScore; ++S) {
     // Cooperative abandonment: a cancelled/expired request stops at the
     // next bucket boundary. Partial results are discarded — an abandoned
     // query must never look like a short-but-valid answer.
     if (Opts.Abort && Opts.Abort->aborted()) {
       Stats.Abandoned = true;
+      Count();
       return {};
     }
     Stats.LastBucket = S;
@@ -200,13 +207,15 @@ CompletionEngine::complete(const PartialExpr *Query, const CodeSite &Site,
   // short. Running out at the caller's own MaxScore is normal operation.
   Stats.ScoreCeilingHit =
       Results.size() < N && Opts.MaxScore > Opts.ScoreCeiling;
+  Count();
   if (Results.size() > N)
     Results.resize(N);
   if (Opts.Explain) {
     // Cards are exact by construction: scoreCard() is the same traversal
-    // scoreExpr() (the streams' emission oracle) runs, with a structured
-    // accumulator. Computed only for the N survivors, in the query arena,
-    // so results stay self-contained when the arena is handed off.
+    // as scoreExpr() (the oracle the streams' incremental scores equal),
+    // with a structured accumulator. Computed only for the N survivors,
+    // in the query arena, so results stay self-contained when the arena is
+    // handed off.
     for (Completion &C : Results)
       C.Card = QueryArena->create<ScoreCard>(Rank.scoreCard(C.E));
   }

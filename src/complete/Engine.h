@@ -218,6 +218,12 @@ public:
     /// cancelled, or watchdog fired). The returned results are incomplete
     /// and must not be cached or served.
     bool Abandoned = false;
+    /// Enumeration work (see QueryCounters): combinations scored,
+    /// expressions built for drained combinations, and buckets filled
+    /// across all streams. Telemetry only — never part of an answer.
+    uint64_t CombosScored = 0;
+    uint64_t ExprsMaterialised = 0;
+    uint64_t BucketsScanned = 0;
   };
 
   /// Completes \p Query at \p Site, returning at most \p N results in

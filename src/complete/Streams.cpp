@@ -8,18 +8,23 @@
 #include "complete/Streams.h"
 
 #include <algorithm>
-#include <functional>
-#include <optional>
+#include <cstdint>
 
 using namespace petal;
+
+/// Stamps the query's ceiling, scratch arena and counters onto \p S.
+static void attach(CandidateStream &S, EngineState &ES) {
+  S.setCeiling(ES.ScoreCeiling);
+  S.setScratch(ES.Scratch);
+  S.setCounters(&ES.Counts);
+}
 
 //===----------------------------------------------------------------------===//
 // ConcreteStream
 //===----------------------------------------------------------------------===//
 
 ConcreteStream::ConcreteStream(EngineState &ES, const Expr *E, TypeId Target) {
-  setCeiling(ES.ScoreCeiling);
-  setScratch(ES.Scratch);
+  attach(*this, ES);
   C.E = E;
   C.Score = ES.Rank->scoreExpr(E);
   C.Type = E->type();
@@ -37,8 +42,7 @@ void ConcreteStream::fillBucket(int S, CandidateVec &Out) {
 //===----------------------------------------------------------------------===//
 
 DontCareStream::DontCareStream(EngineState &ES) {
-  setCeiling(ES.ScoreCeiling);
-  setScratch(ES.Scratch);
+  attach(*this, ES);
   C.E = ES.Factory->dontCare();
   C.Score = 0;
   C.Type = InvalidId;
@@ -53,10 +57,7 @@ void DontCareStream::fillBucket(int S, CandidateVec &Out) {
 // VarsStream
 //===----------------------------------------------------------------------===//
 
-VarsStream::VarsStream(EngineState &ES) : ES(ES) {
-  setCeiling(ES.ScoreCeiling);
-  setScratch(ES.Scratch);
-}
+VarsStream::VarsStream(EngineState &ES) : ES(ES) { attach(*this, ES); }
 
 void VarsStream::fillBucket(int S, CandidateVec &Out) {
   const TypeSystem &TS = *ES.TS;
@@ -109,8 +110,7 @@ SuffixStream::SuffixStream(EngineState &ES,
                            std::unique_ptr<CandidateStream> Base,
                            SuffixKind Kind, TypeId Target)
     : ES(ES), Base(std::move(Base)), Kind(Kind), Target(Target) {
-  setCeiling(ES.ScoreCeiling);
-  setScratch(ES.Scratch);
+  attach(*this, ES);
 }
 
 bool SuffixStream::emits(const Candidate &C) const {
@@ -135,18 +135,28 @@ bool SuffixStream::worthExpanding(const Candidate &C) const {
       .has_value();
 }
 
-void SuffixStream::expand(const Candidate &C, CandidateVec &Out) {
+void SuffixStream::expand(const Candidate &C, CandidateVec &Out,
+                          CandidateVec *Next, size_t NextCap) {
   int Step = ES.Rank->lookupStepCost();
   const auto Edges = ES.Members->edges(C.Type);
   size_t Limit = suffixAllowsMethods(Kind) ? Edges.size()
                                            : ES.Members->numFieldEdges(C.Type);
   for (size_t I = 0; I != Limit; ++I) {
     const LookupEdge &E = Edges[I];
-    const Expr *Next = E.IsField
-                           ? static_cast<const Expr *>(
-                                 ES.Factory->fieldAccess(C.E, E.Field))
-                           : ES.Factory->call(E.Method, C.E, {});
-    Out.push_back({Next, C.Score + Step, E.ResultType, C.Depth + 1});
+    // Decide on the child's type and depth first; most children are
+    // neither emitted nor expanded and are never built.
+    Candidate Child{nullptr, C.Score + Step, E.ResultType, C.Depth + 1};
+    bool Emit = emits(Child);
+    bool Keep = Next && Next->size() < NextCap && worthExpanding(Child);
+    if (!Emit && !Keep)
+      continue;
+    Child.E = E.IsField ? static_cast<const Expr *>(
+                              ES.Factory->fieldAccess(C.E, E.Field))
+                        : ES.Factory->call(E.Method, C.E, {});
+    if (Emit)
+      Out.push_back(Child);
+    if (Keep)
+      Next->push_back(Child);
   }
 }
 
@@ -167,16 +177,12 @@ void SuffixStream::fillBucket(int S, CandidateVec &Out) {
     }
     int MaxLen = isStarSuffix(Kind) ? ES.MaxChainLen : 1;
     for (int Len = 0; Len != MaxLen && !Frontier.empty(); ++Len) {
+      // The last round's frontier is never expanded, so it is not kept.
       CandidateVec Next(Alloc);
+      bool Last = Len + 1 == MaxLen;
       for (const Candidate &C : Frontier)
-        expand(C, Next);
-      Frontier.clear();
-      for (const Candidate &C : Next) {
-        if (emits(C))
-          Out.push_back(C);
-        if (worthExpanding(C))
-          Frontier.push_back(C);
-      }
+        expand(C, Out, Last ? nullptr : &Next, SIZE_MAX);
+      Frontier.swap(Next);
     }
     return;
   }
@@ -194,18 +200,135 @@ void SuffixStream::fillBucket(int S, CandidateVec &Out) {
   }
 
   // Lookup expansions of the frontier one step below.
-  if (S - Step >= 0) {
-    CandidateVec Expanded(Alloc);
+  if (S - Step >= 0)
     for (const Candidate &C : Pool[S - Step])
-      expand(C, Expanded);
-    for (const Candidate &C : Expanded) {
-      if (emits(C))
-        Out.push_back(C);
-      if (isStarSuffix(Kind) && worthExpanding(C) &&
-          Pool[S].size() < ES.MaxPoolPerBucket)
-        Pool[S].push_back(C);
+      expand(C, Out, isStarSuffix(Kind) ? &Pool[S] : nullptr,
+             ES.MaxPoolPerBucket);
+}
+
+//===----------------------------------------------------------------------===//
+// Combination enumeration
+//===----------------------------------------------------------------------===//
+
+/// Visits every choice of one pick per argument whose scores sum to \p Sum,
+/// where \p Picks(I, S) lists argument I's picks of score S. The order is a
+/// depth-first walk: argument 0's buckets 0..Sum in order, each bucket's
+/// picks in order, then argument 1's likewise, and so on; the last argument
+/// takes the one bucket that completes the sum. \p Visit receives the
+/// chosen picks, one per argument.
+template <class PickT, class PicksFn, class VisitFn>
+static void forEachCombo(size_t K, int Sum, PicksFn &&Picks, VisitFn &&Visit) {
+  if (K == 0) {
+    if (Sum == 0)
+      Visit(static_cast<const PickT *const *>(nullptr));
+    return;
+  }
+  std::vector<const PickT *> Chosen(K);
+  // Argument I stands at position Pos[I] of its bucket Score[I], with
+  // Rem[I] of the sum left for arguments I..K-1.
+  std::vector<int> Score(K, 0), Rem(K, 0);
+  std::vector<size_t> Pos(K, 0);
+  size_t I = 0;
+  Rem[0] = Sum;
+  while (true) {
+    if (I + 1 == K) {
+      for (const PickT &P : Picks(I, Rem[I])) {
+        Chosen[I] = &P;
+        Visit(Chosen.data());
+      }
+    } else {
+      const std::vector<PickT> *B = &Picks(I, Score[I]);
+      while (Pos[I] == B->size() && Score[I] < Rem[I]) {
+        Pos[I] = 0;
+        B = &Picks(I, ++Score[I]);
+      }
+      if (Pos[I] != B->size()) {
+        Chosen[I] = &(*B)[Pos[I]];
+        Rem[I + 1] = Rem[I] - Score[I];
+        ++I;
+        Score[I] = 0;
+        Pos[I] = 0;
+        continue;
+      }
+    }
+    // Argument I is exhausted: advance the one before it.
+    if (I == 0)
+      return;
+    --I;
+    ++Pos[I];
+  }
+}
+
+/// Grows the per-score pick lists \p ByScore of one argument up to \p S,
+/// turning each bucket of \p Arg into picks with \p Make (which returns
+/// false to drop a candidate), and returns the list of score \p S.
+template <class PickT, class MakeFn>
+static const std::vector<PickT> &
+picksOf(std::vector<std::vector<PickT>> &ByScore, CandidateStream &Arg, int S,
+        MakeFn &&Make) {
+  while (ByScore.size() <= static_cast<size_t>(S)) {
+    std::vector<PickT> &Out = ByScore.emplace_back();
+    int Score = static_cast<int>(ByScore.size()) - 1;
+    for (const Candidate &C : Arg.bucket(Score)) {
+      PickT P;
+      if (Make(C, P))
+        Out.push_back(P);
     }
   }
+  return ByScore[S];
+}
+
+//===----------------------------------------------------------------------===//
+// ComboStream
+//===----------------------------------------------------------------------===//
+
+ComboStream::ComboStream(EngineState &ES) : ES(ES) { attach(*this, ES); }
+
+const Expr **ComboStream::queue(int Score, uint64_t Tie, size_t NumArgs,
+                                MethodId M, TypeId Type) {
+  ++ES.Counts.CombosScored;
+  if (ceiling() >= 0 && Score > ceiling())
+    return nullptr; // that bucket is never filled
+  if (Pending.size() <= static_cast<size_t>(Score))
+    Pending.resize(Score + 1,
+                   ComboVec(ArenaAllocator<PendingCombo>(scratch())));
+  Arena *A = scratch();
+  if (!A) {
+    if (!OwnArgs)
+      OwnArgs = std::make_unique<Arena>();
+    A = OwnArgs.get();
+  }
+  auto **Args = static_cast<const Expr **>(
+      A->allocate(NumArgs * sizeof(const Expr *), alignof(const Expr *)));
+  Pending[Score].push_back({Tie, Args, M, Type});
+  return Args;
+}
+
+void ComboStream::drain(int S, CandidateVec &Out, bool SortByTie) {
+  if (Pending.size() <= static_cast<size_t>(S))
+    return;
+  ComboVec &Bucket = Pending[S];
+  if (SortByTie)
+    std::stable_sort(Bucket.begin(), Bucket.end(),
+              [](const PendingCombo &A, const PendingCombo &B) {
+                return A.Tie < B.Tie;
+              });
+  for (const PendingCombo &C : Bucket)
+    Out.push_back({materialise(C), S, C.Type, 0});
+  ES.Counts.ExprsMaterialised += Bucket.size();
+  ComboVec(ArenaAllocator<PendingCombo>(scratch())).swap(Bucket);
+}
+
+/// Builds the call of \p M over its call-signature arguments \p CallArgs
+/// (the receiver first for an instance method).
+static const Expr *buildCall(EngineState &ES, MethodId M,
+                             const Expr *const *CallArgs) {
+  const MethodInfo &MI = ES.TS->method(M);
+  const Expr *Receiver = MI.IsStatic ? nullptr : CallArgs[0];
+  const Expr *const *Decl = CallArgs + (MI.IsStatic ? 0 : 1);
+  return ES.Factory->call(
+      M, Receiver,
+      std::vector<const Expr *>(Decl, Decl + MI.Params.size()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -215,58 +338,45 @@ void SuffixStream::fillBucket(int S, CandidateVec &Out) {
 UnknownCallStream::UnknownCallStream(
     EngineState &ES, std::vector<std::unique_ptr<CandidateStream>> Args,
     TypeId Target)
-    : ES(ES), Args(std::move(Args)), Target(Target), Pending(ES.Scratch) {
-  setCeiling(ES.ScoreCeiling);
-  setScratch(ES.Scratch);
-}
+    : ComboStream(ES), Args(std::move(Args)), Target(Target),
+      Picks(this->Args.size()) {}
 
 void UnknownCallStream::fillBucket(int S, CandidateVec &Out) {
   for (int Sum = CombosDone + 1; Sum <= S; ++Sum)
-    processCombosWithSum(Sum);
+    forEachCombo<Pick>(
+        Args.size(), Sum,
+        [this](size_t I, int Sc) -> const std::vector<Pick> & {
+          return picks(I, Sc);
+        },
+        [this, Sum](const Pick *const *Combo) {
+          enumerateMethods(Combo, Sum);
+        });
   CombosDone = S;
-  Pending.drain(S, Out);
+  drain(S, Out, /*SortByTie=*/true);
 }
 
-void UnknownCallStream::processCombosWithSum(int Sum) {
-  if (Args.empty()) {
-    if (Sum == 0)
-      enumerateMethods({}, 0);
-    return;
-  }
-  // Choose one candidate per argument such that the scores sum to Sum.
-  std::vector<Candidate> Combo(Args.size());
-  std::function<void(size_t, int)> Rec = [&](size_t I, int Remaining) {
-    if (I + 1 == Args.size()) {
-      for (const Candidate &C : Args[I]->bucket(Remaining)) {
-        Combo[I] = C;
-        enumerateMethods(Combo, Sum);
-      }
-      return;
-    }
-    for (int S = 0; S <= Remaining; ++S) {
-      const auto &B = Args[I]->bucket(S);
-      if (B.empty())
-        continue;
-      for (const Candidate &C : B) {
-        Combo[I] = C;
-        Rec(I + 1, Remaining - S);
-      }
-    }
-  };
-  Rec(0, Sum);
+const std::vector<UnknownCallStream::Pick> &
+UnknownCallStream::picks(size_t I, int S) {
+  return picksOf(Picks[I], *Args[I], S, [this](const Candidate &C, Pick &P) {
+    P = {C.E, C.Score, C.Type,
+         isValidId(C.Type) ? ES.Rank->abstractVarOf(C.E)
+                           : AbstractTypeInference::NoVar};
+    return true;
+  });
 }
 
-void UnknownCallStream::enumerateMethods(const std::vector<Candidate> &Combo,
+void UnknownCallStream::enumerateMethods(const Pick *const *Combo,
                                          int ArgScore) {
   // Scan the index bucket of the most selective argument type (§4.2).
   // Don't-cares and null literals constrain nothing, so they cannot drive
   // the index choice.
   MethodCandidates Methods;
   bool Constrained = false;
-  for (const Candidate &C : Combo) {
-    if (!isValidId(C.Type) || C.Type == ES.TS->nullType())
+  for (size_t I = 0; I != Args.size(); ++I) {
+    TypeId T = Combo[I]->Type;
+    if (!isValidId(T) || T == ES.TS->nullType())
       continue;
-    MethodCandidates Set = ES.MIndex->candidatesForArgType(C.Type);
+    MethodCandidates Set = ES.MIndex->candidatesForArgType(T);
     if (!Constrained || Set.size() < Methods.size()) {
       Methods = Set;
       Constrained = true;
@@ -278,96 +388,121 @@ void UnknownCallStream::enumerateMethods(const std::vector<Candidate> &Combo,
     tryMethod(M, Combo, ArgScore);
 }
 
-void UnknownCallStream::tryMethod(MethodId M,
-                                  const std::vector<Candidate> &Combo,
+void UnknownCallStream::tryMethod(MethodId M, const Pick *const *Combo,
                                   int ArgScore) {
   const TypeSystem &TS = *ES.TS;
+  const Ranker &R = *ES.Rank;
   const MethodInfo &MI = TS.method(M);
   size_t NP = TS.numCallParams(M);
-  size_t K = Combo.size();
+  size_t K = Args.size();
   if (NP < K || NP > 62)
     return;
 
+  // Known expected type: filter by return type (void must match void).
   if (isValidId(Target)) {
-    // Known expected type: filter by return type (void must match void).
     if (Target == TS.voidType()) {
       if (MI.ReturnType != TS.voidType())
         return;
     } else if (!TS.implicitlyConvertible(MI.ReturnType, Target)) {
       return;
     }
-  } else if (MI.ReturnType == TS.voidType()) {
-    // Void methods are still valid statement completions.
   }
 
-  // Find the cheapest injective placement of the K argument candidates into
-  // the NP call-signature positions. An instance method's receiver slot
-  // (position 0) must be filled by a real argument, never by `0`.
-  struct Placement {
-    int Cost;
-    std::vector<int> PosOfArg;
-  };
-  std::optional<Placement> Best;
-  std::vector<int> PosOfArg(K, -1);
-  uint64_t UsedMask = 0;
-
-  std::function<void(size_t, int)> Search = [&](size_t I, int Cost) {
-    if (Best && Cost >= Best->Cost)
-      return; // branch-and-bound
-    if (I == K) {
-      if (!MI.IsStatic && !(UsedMask & 1))
-        return; // receiver unfilled
-      Best = Placement{Cost, PosOfArg};
-      return;
-    }
-    const Candidate &C = Combo[I];
+  // StepCost[I * NP + Pos]: placing argument I at call-signature position
+  // Pos (type distance plus abstract type), or -1 when its type does not
+  // convert. Don't-cares fit anywhere for free.
+  StepCost.assign(K * NP, 0);
+  for (size_t I = 0; I != K; ++I) {
+    const Pick &P = *Combo[I];
+    if (!isValidId(P.Type))
+      continue;
     for (size_t Pos = 0; Pos != NP; ++Pos) {
-      if (UsedMask & (1ull << Pos))
-        continue;
-      int StepCost = 0;
-      if (isValidId(C.Type)) {
-        auto D = TS.typeDistance(C.Type, TS.callParamType(M, Pos));
-        if (!D)
-          continue;
-        StepCost += ES.Rank->options().UseTypeDistance ? *D : 0;
-        StepCost += ES.Rank->abstractArgCost(C.E, M, Pos, MI.Owner);
-      }
-      UsedMask |= 1ull << Pos;
-      PosOfArg[I] = static_cast<int>(Pos);
-      Search(I + 1, Cost + StepCost);
-      UsedMask &= ~(1ull << Pos);
-      PosOfArg[I] = -1;
+      auto D = TS.typeDistance(P.Type, TS.callParamType(M, Pos));
+      StepCost[I * NP + Pos] =
+          D ? (R.options().UseTypeDistance ? *D : 0) +
+                  R.abstractArgCostOfVar(P.Var, M, Pos, MI.Owner)
+            : -1;
     }
+  }
+
+  // Find the cheapest injective placement of the K arguments into the NP
+  // positions: a depth-first branch-and-bound over argument I's position
+  // PosOfArg[I], keeping the first placement of least cost. An instance
+  // method's receiver slot (position 0) must be filled by a real argument,
+  // never by `0`.
+  bool Found = false;
+  int BestCost = 0;
+  uint64_t Used = 0;
+  auto Reached = [&](size_t Depth, int Cost) {
+    if (Found && Cost >= BestCost)
+      return false; // branch-and-bound
+    if (Depth != K)
+      return true;
+    if (!MI.IsStatic && !(Used & 1))
+      return false; // receiver unfilled
+    Found = true;
+    BestCost = Cost;
+    BestPos.assign(PosOfArg.begin(), PosOfArg.end());
+    return false;
   };
-  Search(0, 0);
-  if (!Best)
+  PosOfArg.assign(K, -1);
+  CostAt.assign(K + 1, 0);
+  if (Reached(0, 0)) {
+    size_t I = 0;
+    while (true) {
+      if (PosOfArg[I] >= 0)
+        Used &= ~(1ull << PosOfArg[I]);
+      size_t Pos = static_cast<size_t>(PosOfArg[I] + 1);
+      while (Pos != NP &&
+             ((Used >> Pos & 1) || StepCost[I * NP + Pos] < 0))
+        ++Pos;
+      if (Pos == NP) {
+        PosOfArg[I] = -1;
+        if (I == 0)
+          break;
+        --I;
+        continue;
+      }
+      PosOfArg[I] = static_cast<int>(Pos);
+      Used |= 1ull << Pos;
+      int Cost = CostAt[I] + StepCost[I * NP + Pos];
+      if (Reached(I + 1, Cost)) {
+        CostAt[++I] = Cost;
+        PosOfArg[I] = -1;
+      }
+    }
+  }
+  if (!Found)
     return;
 
-  // Materialize the call: mapped positions take the argument expressions,
-  // the rest become `0` (the paper makes no attempt to fill them, §3).
-  std::vector<const Expr *> CallArgs(NP, nullptr);
-  for (size_t I = 0; I != K; ++I)
-    CallArgs[Best->PosOfArg[I]] = Combo[I].E;
-  for (const Expr *&Slot : CallArgs)
-    if (!Slot)
-      Slot = ES.Factory->dontCare();
-
-  const Expr *Receiver = nullptr;
-  std::vector<const Expr *> DeclArgs;
-  if (!MI.IsStatic) {
-    Receiver = CallArgs[0];
-    DeclArgs.assign(CallArgs.begin() + 1, CallArgs.end());
-  } else {
-    DeclArgs = CallArgs;
+  // The score of the chosen call, term by term as the standalone scorer
+  // charges it. Without declared parameters it is a lookup step on its
+  // receiver; otherwise the placement cost (recomputed for the actual
+  // receiver type when that specializes the abstract types) plus the
+  // call's own dot, in-scope static and namespace terms.
+  int Score = ArgScore + R.lookupStepCost();
+  if (!MI.Params.empty()) {
+    int Placed = BestCost;
+    if (R.abstractArgCostVariesWithReceiver(M)) {
+      TypeId RecvTy = MI.Owner;
+      for (size_t I = 0; I != K; ++I)
+        if (BestPos[I] == 0 && isValidId(Combo[I]->Type))
+          RecvTy = Combo[I]->Type;
+      Placed = 0;
+      for (size_t I = 0; I != K; ++I) {
+        const Pick &P = *Combo[I];
+        if (!isValidId(P.Type))
+          continue;
+        Placed += R.typeDistanceCost(P.Type, TS.callParamType(M, BestPos[I]));
+        Placed += R.abstractArgCostOfVar(P.Var, M, BestPos[I], RecvTy);
+      }
+    }
+    Ranker::NamespaceTally NS;
+    for (size_t I = 0; I != K; ++I)
+      NS.add(R.namespaceSimilarity(MI.Owner, Combo[I]->E));
+    Score += Placed + R.inScopeStaticCost(M) + R.namespaceCost(NS);
   }
-  const Expr *Call = ES.Factory->call(M, Receiver, DeclArgs);
 
-  // Score through the standalone scorer so the engine's result provably
-  // matches the Fig. 7 specification (Ranker::scoreExpr). The placement
-  // search above already minimized the variable part, so this evaluates the
-  // same sum. (void)ArgScore documents that argument scores are subsumed.
-  (void)ArgScore;
-  int Score = ES.Rank->scoreExpr(Call);
   // Ties break towards fewer parameters (fewer `0` fills), then by method
   // declaration order. Deliberately NOT by index-visit order: the index BFS
   // visits nearer types first, which would smuggle a type-distance signal
@@ -375,7 +510,21 @@ void UnknownCallStream::tryMethod(MethodId M,
   uint64_t Tie = (static_cast<uint64_t>(NP) << 56) |
                  (static_cast<uint64_t>(static_cast<uint32_t>(M)) << 24) |
                  (Seq++ & 0xFFFFFF);
-  Pending.push(Score, Tie, {Call, Score, MI.ReturnType});
+  if (const Expr **CallArgs = queue(Score, Tie, NP, M, MI.ReturnType)) {
+    std::fill(CallArgs, CallArgs + NP, nullptr);
+    for (size_t I = 0; I != K; ++I)
+      CallArgs[BestPos[I]] = Combo[I]->E;
+  }
+}
+
+const Expr *UnknownCallStream::materialise(const PendingCombo &C) {
+  // Positions no argument was placed in become `0` (the paper makes no
+  // attempt to fill them, §3).
+  size_t NP = ES.TS->numCallParams(C.M);
+  for (size_t Pos = 0; Pos != NP; ++Pos)
+    if (!C.Args[Pos])
+      C.Args[Pos] = ES.Factory->dontCare();
+  return buildCall(ES, C.M, C.Args);
 }
 
 //===----------------------------------------------------------------------===//
@@ -385,94 +534,87 @@ void UnknownCallStream::tryMethod(MethodId M,
 KnownCallStream::KnownCallStream(
     EngineState &ES, MethodId M,
     std::vector<std::unique_ptr<CandidateStream>> Args, TypeId Target)
-    : ES(ES), M(M), Args(std::move(Args)), Target(Target),
-      Pending(ES.Scratch) {
-  setCeiling(ES.ScoreCeiling);
-  setScratch(ES.Scratch);
-  assert(this->Args.size() == ES.TS->numCallParams(M) &&
+    : ComboStream(ES), M(M), Args(std::move(Args)), Picks(this->Args.size()) {
+  const TypeSystem &TS = *ES.TS;
+  const MethodInfo &MI = TS.method(M);
+  assert(this->Args.size() == TS.numCallParams(M) &&
          "argument count must match the call signature");
+  Dead = isValidId(Target) && !TS.implicitlyConvertible(MI.ReturnType, Target);
+  LookupStep = MI.Params.empty();
+  ReceiverDependent =
+      !LookupStep && ES.Rank->abstractArgCostVariesWithReceiver(M);
+  CallCost = ES.Rank->lookupStepCost() +
+             (LookupStep ? 0 : ES.Rank->inScopeStaticCost(M));
 }
 
 void KnownCallStream::fillBucket(int S, CandidateVec &Out) {
-  for (int Sum = CombosDone + 1; Sum <= S; ++Sum)
-    processCombosWithSum(Sum);
+  if (!Dead)
+    for (int Sum = CombosDone + 1; Sum <= S; ++Sum)
+      forEachCombo<Pick>(
+          Args.size(), Sum,
+          [this](size_t I, int Sc) -> const std::vector<Pick> & {
+            return picks(I, Sc);
+          },
+          [this, Sum](const Pick *const *Combo) { scoreCombo(Combo, Sum); });
   CombosDone = S;
-  Pending.drain(S, Out);
+  drain(S, Out, /*SortByTie=*/false);
 }
 
-void KnownCallStream::processCombosWithSum(int Sum) {
-  if (Args.empty()) {
-    if (Sum == 0)
-      emitCombo({}, 0);
-    return;
-  }
-  std::vector<Candidate> Combo(Args.size());
-  std::function<void(size_t, int)> Rec = [&](size_t I, int Remaining) {
-    if (I + 1 == Args.size()) {
-      for (const Candidate &C : Args[I]->bucket(Remaining)) {
-        Combo[I] = C;
-        emitCombo(Combo, Sum);
-      }
-      return;
-    }
-    for (int S = 0; S <= Remaining; ++S) {
-      const auto &B = Args[I]->bucket(S);
-      if (B.empty())
-        continue;
-      for (const Candidate &C : B) {
-        Combo[I] = C;
-        Rec(I + 1, Remaining - S);
-      }
-    }
-  };
-  Rec(0, Sum);
-}
-
-void KnownCallStream::emitCombo(const std::vector<Candidate> &Combo,
-                                int ArgScore) {
-  const TypeSystem &TS = *ES.TS;
-  const MethodInfo &MI = TS.method(M);
-
-  if (isValidId(Target) && !TS.implicitlyConvertible(MI.ReturnType, Target))
-    return;
-
-  TypeId RecvTy = MI.Owner;
-  if (!MI.IsStatic && !Combo.empty() && isValidId(Combo[0].Type))
-    RecvTy = Combo[0].Type;
-
-  int Extra = 0;
-  for (size_t I = 0; I != Combo.size(); ++I) {
-    const Candidate &C = Combo[I];
+const std::vector<KnownCallStream::Pick> &KnownCallStream::picks(size_t I,
+                                                                 int S) {
+  return picksOf(Picks[I], *Args[I], S, [this, I](const Candidate &C, Pick &P) {
+    const TypeSystem &TS = *ES.TS;
+    const Ranker &R = *ES.Rank;
+    const MethodInfo &MI = TS.method(M);
+    P = {C.E, C.Score, 0, -1, C.Type};
     if (!isValidId(C.Type))
-      continue; // don't-care argument
+      return true; // don't-care argument
     auto D = TS.typeDistance(C.Type, TS.callParamType(M, I));
     if (!D)
-      return; // type-incorrect combination
-    Extra += ES.Rank->options().UseTypeDistance ? *D : 0;
-    Extra += ES.Rank->abstractArgCost(C.E, M, I, RecvTy);
+      return false; // type-incorrect candidate
+    if (LookupStep)
+      return true; // a lookup step charges nothing per argument
+    P.Cost = R.options().UseTypeDistance ? *D : 0;
+    // The receiver's own type selects Object-method specializations; a
+    // declared argument's cost is charged per combination when it varies
+    // with the receiver.
+    if (I == 0 && !MI.IsStatic)
+      P.Cost += R.abstractArgCost(C.E, M, I, C.Type);
+    else if (!ReceiverDependent)
+      P.Cost += R.abstractArgCost(C.E, M, I, MI.Owner);
+    P.NsSim = R.namespaceSimilarity(MI.Owner, C.E);
+    return true;
+  });
+}
+
+void KnownCallStream::scoreCombo(const Pick *const *Combo, int ArgScore) {
+  size_t K = Args.size();
+  int Score = ArgScore + CallCost;
+  if (!LookupStep) {
+    const Ranker &R = *ES.Rank;
+    Ranker::NamespaceTally NS;
+    for (size_t I = 0; I != K; ++I) {
+      Score += Combo[I]->Cost;
+      NS.add(Combo[I]->NsSim);
+    }
+    Score += R.namespaceCost(NS);
+    if (ReceiverDependent) {
+      TypeId RecvTy = isValidId(Combo[0]->Type) ? Combo[0]->Type
+                                                : ES.TS->method(M).Owner;
+      for (size_t I = 1; I != K; ++I)
+        if (isValidId(Combo[I]->Type))
+          Score += R.abstractArgCost(Combo[I]->E, M, I, RecvTy);
+    }
   }
+  // Ties keep discovery order: the queue drains first-in, first-out.
+  if (const Expr **CallArgs =
+          queue(Score, /*Tie=*/0, K, M, ES.TS->method(M).ReturnType))
+    for (size_t I = 0; I != K; ++I)
+      CallArgs[I] = Combo[I]->E;
+}
 
-  std::vector<const Expr *> CallArgs;
-  CallArgs.reserve(Combo.size());
-  for (const Candidate &C : Combo)
-    CallArgs.push_back(C.E);
-
-  const Expr *Receiver = nullptr;
-  std::vector<const Expr *> DeclArgs;
-  if (!MI.IsStatic) {
-    if (CallArgs.empty())
-      return;
-    Receiver = CallArgs[0];
-    DeclArgs.assign(CallArgs.begin() + 1, CallArgs.end());
-  } else {
-    DeclArgs = CallArgs;
-  }
-  const Expr *Call = ES.Factory->call(M, Receiver, DeclArgs);
-
-  (void)ArgScore;
-  (void)Extra; // the combination was validated above; score via the oracle
-  int Score = ES.Rank->scoreExpr(Call);
-  Pending.push(Score, Seq++, {Call, Score, MI.ReturnType});
+const Expr *KnownCallStream::materialise(const PendingCombo &C) {
+  return buildCall(ES, M, C.Args);
 }
 
 //===----------------------------------------------------------------------===//
@@ -482,18 +624,15 @@ void KnownCallStream::emitCombo(const std::vector<Candidate> &Combo,
 BinaryStream::BinaryStream(EngineState &ES, bool IsCompare, CompareOp Op,
                            std::unique_ptr<CandidateStream> Lhs,
                            std::unique_ptr<CandidateStream> Rhs, TypeId Target)
-    : ES(ES), IsCompare(IsCompare), Op(Op), Lhs(std::move(Lhs)),
-      Rhs(std::move(Rhs)), Target(Target), Pending(ES.Scratch) {
-  setCeiling(ES.ScoreCeiling);
-  setScratch(ES.Scratch);
-}
+    : ComboStream(ES), IsCompare(IsCompare), Op(Op), Lhs(std::move(Lhs)),
+      Rhs(std::move(Rhs)), Target(Target) {}
 
 void BinaryStream::fillBucket(int S, CandidateVec &Out) {
   for (int Diag = DiagDone + 1; Diag <= S; ++Diag)
     for (int SL = 0; SL <= Diag; ++SL)
       crossJoin(Lhs->bucket(SL), Rhs->bucket(Diag - SL));
   DiagDone = S;
-  Pending.drain(S, Out);
+  drain(S, Out, /*SortByTie=*/false);
 }
 
 void BinaryStream::crossJoin(const CandidateVec &L, const CandidateVec &R) {
@@ -501,22 +640,23 @@ void BinaryStream::crossJoin(const CandidateVec &L, const CandidateVec &R) {
     return;
   for (const Candidate &CL : L)
     for (const Candidate &CR : R)
-      emitPair(CL, CR);
+      scorePair(CL, CR);
 }
 
-void BinaryStream::emitPair(const Candidate &L, const Candidate &R) {
+void BinaryStream::scorePair(const Candidate &L, const Candidate &R) {
   const TypeSystem &TS = *ES.TS;
+  const Ranker &Rank = *ES.Rank;
   bool LWild = !isValidId(L.Type);
   bool RWild = !isValidId(R.Type);
 
-  int Extra = 0;
+  int Score = L.Score + R.Score;
   if (IsCompare) {
     if (!LWild && !RWild) {
       if (!TS.comparable(L.Type, R.Type))
         return;
-      Extra += ES.Rank->operandDistanceCost(L.Type, R.Type);
-      Extra += ES.Rank->abstractOperandCost(L.E, R.E);
-      Extra += ES.Rank->compareNameCost(L.E, R.E);
+      Score += Rank.operandDistanceCost(L.Type, R.Type);
+      Score += Rank.abstractOperandCost(L.E, R.E);
+      Score += Rank.compareNameCost(L.E, R.E);
     }
   } else {
     if (!LWild && !isLValue(L.E))
@@ -524,29 +664,27 @@ void BinaryStream::emitPair(const Candidate &L, const Candidate &R) {
     if (!LWild && !RWild) {
       if (!TS.assignable(L.Type, R.Type))
         return;
-      Extra += ES.Rank->typeDistanceCost(R.Type, L.Type);
-      Extra += ES.Rank->abstractOperandCost(L.E, R.E);
+      Score += Rank.typeDistanceCost(R.Type, L.Type);
+      Score += Rank.abstractOperandCost(L.E, R.E);
     }
   }
 
-  Arena &A = ES.Factory->arena();
-  const Expr *E;
-  TypeId ResultTy;
-  if (IsCompare) {
-    E = A.create<CompareExpr>(Op, L.E, R.E, TS.boolType());
-    ResultTy = TS.boolType();
-  } else {
-    E = A.create<AssignExpr>(L.E, R.E);
-    ResultTy = L.Type;
-  }
-
+  TypeId ResultTy = IsCompare ? TS.boolType() : L.Type;
   if (isValidId(Target) && isValidId(ResultTy) &&
       !TS.implicitlyConvertible(ResultTy, Target))
     return;
 
-  (void)Extra; // validated above; score via the oracle for consistency
-  int Score = ES.Rank->scoreExpr(E);
-  Pending.push(Score, Seq++, {E, Score, ResultTy});
+  if (const Expr **Pair = queue(Score, /*Tie=*/0, 2, InvalidId, ResultTy)) {
+    Pair[0] = L.E;
+    Pair[1] = R.E;
+  }
+}
+
+const Expr *BinaryStream::materialise(const PendingCombo &C) {
+  Arena &A = ES.Factory->arena();
+  if (IsCompare)
+    return A.create<CompareExpr>(Op, C.Args[0], C.Args[1], ES.TS->boolType());
+  return A.create<AssignExpr>(C.Args[0], C.Args[1]);
 }
 
 //===----------------------------------------------------------------------===//

@@ -36,7 +36,6 @@
 #include "rank/Ranking.h"
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 namespace petal {
@@ -67,11 +66,14 @@ struct EngineState {
   /// Safety valve on the per-bucket expansion frontier of one star suffix.
   size_t MaxPoolPerBucket = 4096;
   /// Per-query scratch arena backing the streams' bucket storage, expansion
-  /// pools, and pending heaps (see CandidateVec). Distinct from the query
+  /// pools, pending combinations and their argument arrays (see
+  /// CandidateVec). Distinct from the query
   /// *result* arena (ExprFactory's): the result arena is handed to the
   /// caller with the completions, while scratch dies with the query, so
   /// batched results do not retain dead enumeration storage. Null = heap.
   Arena *Scratch = nullptr;
+  /// Enumeration counters of this query, fed by every stream.
+  QueryCounters Counts;
 };
 
 /// Builds the stream for a partial expression. \p Target, when valid,
@@ -127,8 +129,11 @@ public:
 
 private:
   void fillBucket(int S, CandidateVec &Out) override;
-  /// Appends the single-step expansions of \p C to \p Out (score += step).
-  void expand(const Candidate &C, CandidateVec &Out);
+  /// Appends \p C's single-step expansions (score += step) that are
+  /// emitted to \p Out and, while \p Next holds fewer than \p NextCap,
+  /// those worth expanding to \p Next. Only those are built.
+  void expand(const Candidate &C, CandidateVec &Out, CandidateVec *Next,
+              size_t NextCap);
   bool emits(const Candidate &C) const;
   bool worthExpanding(const Candidate &C) const;
 
@@ -141,42 +146,46 @@ private:
   std::vector<CandidateVec> Pool;
 };
 
-/// Shared helper for composite call/binary streams: a min-heap of
-/// completions discovered early (the "out of score order" buffer). The
-/// heap's backing vector allocates from the query scratch arena when one
-/// is supplied (default-constructed heaps use the global allocator).
-class PendingHeap {
-public:
-  PendingHeap() = default;
-  explicit PendingHeap(Arena *A)
-      : Heap(std::greater<Entry>(), EntryVec(ArenaAllocator<Entry>(A))) {}
+/// One scored combination waiting for its bucket. Its expression is built
+/// only when the bucket is drained: until then it is the callee, the result
+/// type, and an array of argument expressions — the call-signature
+/// arguments (null where `0` fills a position) or the {lhs, rhs} pair.
+struct PendingCombo {
+  uint64_t Tie; ///< drain order within a bucket, when sorted (see drain())
+  const Expr **Args;
+  MethodId M;
+  TypeId Type;
+};
 
-  void push(int Score, uint64_t Tie, Candidate C) {
-    Heap.push({Score, Tie, std::move(C)});
-  }
+/// Shared machinery of the call and binary streams: combinations scored
+/// from their parts wait in a bucket queue indexed by score (the paper's
+/// "out of score order" buffer) and become expressions when their bucket
+/// is drained. Scores beyond the stream's ceiling are never requested, so
+/// such combinations are counted and dropped.
+class ComboStream : public CandidateStream {
+protected:
+  explicit ComboStream(EngineState &ES);
 
-  /// Pops every pending candidate of score exactly \p S into \p Out.
-  void drain(int S, CandidateVec &Out) {
-    while (!Heap.empty() && Heap.top().Score <= S) {
-      assert(Heap.top().Score == S && "pending candidate was skipped");
-      Out.push_back(Heap.top().C);
-      Heap.pop();
-    }
-  }
+  /// Queues a combination of score \p Score and returns its argument
+  /// array of \p NumArgs slots for the caller to fill, or nullptr when
+  /// the score lies beyond the ceiling. The array lives in the query
+  /// scratch arena, or in an arena of this stream's own without one.
+  const Expr **queue(int Score, uint64_t Tie, size_t NumArgs, MethodId M,
+                     TypeId Type);
+
+  /// Builds the combinations of score \p S into \p Out in queue order,
+  /// or, with \p SortByTie, in Tie order (queue order among equal ties).
+  void drain(int S, CandidateVec &Out, bool SortByTie);
+
+  /// Builds the expression of a drained combination.
+  virtual const Expr *materialise(const PendingCombo &C) = 0;
+
+  EngineState &ES;
 
 private:
-  struct Entry {
-    int Score;
-    uint64_t Tie;
-    Candidate C;
-    bool operator>(const Entry &O) const {
-      if (Score != O.Score)
-        return Score > O.Score;
-      return Tie > O.Tie;
-    }
-  };
-  using EntryVec = std::vector<Entry, ArenaAllocator<Entry>>;
-  std::priority_queue<Entry, EntryVec, std::greater<Entry>> Heap;
+  using ComboVec = std::vector<PendingCombo, ArenaAllocator<PendingCombo>>;
+  std::vector<ComboVec> Pending; ///< Pending[S]: queued combinations of S
+  std::unique_ptr<Arena> OwnArgs; ///< argument arrays without a scratch arena
 };
 
 /// `?({e1, ..., en})`: unknown-method calls over the method index. For each
@@ -184,52 +193,79 @@ private:
 /// most-selective argument type is scanned, arguments are placed injectively
 /// into call-signature positions (best-scoring placement per method), and
 /// unfilled positions become `0`.
-class UnknownCallStream : public CandidateStream {
+class UnknownCallStream : public ComboStream {
 public:
   UnknownCallStream(EngineState &ES,
                     std::vector<std::unique_ptr<CandidateStream>> Args,
                     TypeId Target);
 
+  /// An argument candidate with its abstract-type variable looked up once.
+  struct Pick {
+    const Expr *E;
+    int Score;
+    TypeId Type;
+    uint32_t Var;
+  };
+
 private:
   void fillBucket(int S, CandidateVec &Out) override;
-  void processCombosWithSum(int Sum);
-  void enumerateMethods(const std::vector<Candidate> &Combo, int ArgScore);
-  void tryMethod(MethodId M, const std::vector<Candidate> &Combo,
-                 int ArgScore);
+  const Expr *materialise(const PendingCombo &C) override;
+  const std::vector<Pick> &picks(size_t I, int S);
+  void enumerateMethods(const Pick *const *Combo, int ArgScore);
+  void tryMethod(MethodId M, const Pick *const *Combo, int ArgScore);
 
-  EngineState &ES;
   std::vector<std::unique_ptr<CandidateStream>> Args;
   TypeId Target;
-  PendingHeap Pending;
+  std::vector<std::vector<std::vector<Pick>>> Picks; ///< [arg][score]
   int CombosDone = -1; ///< all combos with sum <= this were processed
   uint64_t Seq = 0;
+  /// Placement search buffers, reused across methods.
+  std::vector<int> StepCost, PosOfArg, BestPos, CostAt;
 };
 
 /// `name(e1, ..., en)` for one resolved method: positional matching of the
 /// call-signature arguments.
-class KnownCallStream : public CandidateStream {
+class KnownCallStream : public ComboStream {
 public:
   KnownCallStream(EngineState &ES, MethodId M,
                   std::vector<std::unique_ptr<CandidateStream>> Args,
                   TypeId Target);
 
+  /// A type-correct argument candidate with its per-argument costs (type
+  /// distance plus abstract type, and its namespace similarity), computed
+  /// once per candidate.
+  struct Pick {
+    const Expr *E;
+    int Score;
+    int Cost;
+    int NsSim;
+    TypeId Type;
+  };
+
 private:
   void fillBucket(int S, CandidateVec &Out) override;
-  void processCombosWithSum(int Sum);
-  void emitCombo(const std::vector<Candidate> &Combo, int ArgScore);
+  const Expr *materialise(const PendingCombo &C) override;
+  const std::vector<Pick> &picks(size_t I, int S);
+  void scoreCombo(const Pick *const *Combo, int ArgScore);
 
-  EngineState &ES;
   MethodId M;
   std::vector<std::unique_ptr<CandidateStream>> Args;
-  TypeId Target;
-  PendingHeap Pending;
+  std::vector<std::vector<std::vector<Pick>>> Picks; ///< [arg][score]
+  /// The return type never converts to the target: nothing to enumerate.
+  bool Dead;
+  /// No declared parameters: the call scores as one lookup step on its
+  /// receiver, exactly as Ranker::scoreExpr treats it.
+  bool LookupStep;
+  /// The abstract cost of declared arguments depends on the receiver's
+  /// type, so it is charged per combination.
+  bool ReceiverDependent;
+  int CallCost; ///< the call's own dot plus, for real calls, in-scope static
   int CombosDone = -1;
-  uint64_t Seq = 0;
 };
 
 /// `ee := ee` / `ee < ee`: pairs left and right candidates, grouped by
 /// type so compatibility is checked once per type pair.
-class BinaryStream : public CandidateStream {
+class BinaryStream : public ComboStream {
 public:
   /// \p IsCompare selects comparison semantics; otherwise assignment.
   BinaryStream(EngineState &ES, bool IsCompare, CompareOp Op,
@@ -238,17 +274,15 @@ public:
 
 private:
   void fillBucket(int S, CandidateVec &Out) override;
+  const Expr *materialise(const PendingCombo &C) override;
   void crossJoin(const CandidateVec &L, const CandidateVec &R);
-  void emitPair(const Candidate &L, const Candidate &R);
+  void scorePair(const Candidate &L, const Candidate &R);
 
-  EngineState &ES;
   bool IsCompare;
   CompareOp Op;
   std::unique_ptr<CandidateStream> Lhs, Rhs;
   TypeId Target;
-  PendingHeap Pending;
   int DiagDone = -1;
-  uint64_t Seq = 0;
 };
 
 /// Union of several streams (used for overload sets of known calls).
@@ -259,6 +293,7 @@ public:
       : Children(std::move(Children)) {
     setCeiling(ES.ScoreCeiling);
     setScratch(ES.Scratch);
+    setCounters(&ES.Counts);
   }
 
 private:

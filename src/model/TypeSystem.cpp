@@ -105,7 +105,17 @@ NamespaceId TypeSystem::getOrAddNamespace(const std::string &FullName) {
   } else {
     NI.Parent = 0;
   }
+  // Every proper prefix was interned by the parent chain above (one that
+  // joins to "" is the root), so these lookups add nothing.
+  size_t N = NI.Segments.size();
+  for (size_t K = 0; K + 1 < N && K != NamespaceInfo::MaxPrefix; ++K)
+    NI.Prefix[K] = getOrAddNamespace(joinStrings(
+        std::vector<std::string>(NI.Segments.begin(),
+                                 NI.Segments.begin() + K + 1),
+        '.'));
   NamespaceId Id = static_cast<NamespaceId>(numNamespaces());
+  if (N != 0 && N <= NamespaceInfo::MaxPrefix)
+    NI.Prefix[N - 1] = Id;
   Namespaces.push_back(std::move(NI));
   NamespaceByName[FullName] = Id;
   return Id;

@@ -37,6 +37,7 @@
 #include "model/Ids.h"
 #include "support/Span.h"
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -59,9 +60,19 @@ enum class TypeKind {
 /// A namespace; namespaces form a forest rooted at the global namespace
 /// (id 0, empty name).
 struct NamespaceInfo {
+  /// The ranking's common-namespace term counts shared segments up to this
+  /// many (§4.1: 3 − min(3, |common prefix|)).
+  static constexpr size_t MaxPrefix = 3;
+
   std::string FullName;              ///< Dotted path; empty for the root.
   std::vector<std::string> Segments; ///< FullName split on '.'.
   NamespaceId Parent = InvalidId;    ///< Enclosing namespace; InvalidId for root.
+  /// Prefix[K]: the id of the namespace named by the first K + 1 segments
+  /// (InvalidId past the last one). Names are interned, so two namespaces
+  /// share their first K + 1 segments iff their Prefix[K] ids are equal —
+  /// the ranking compares ids instead of segment strings.
+  std::array<NamespaceId, MaxPrefix> Prefix = {InvalidId, InvalidId,
+                                               InvalidId};
 };
 
 /// A field or property. Properties are, per the paper (footnote 1), treated
@@ -389,9 +400,16 @@ public:
   /// primitives, Object for enums/interfaces without bases.
   std::vector<TypeId> immediateSupertypes(TypeId T) const;
 
-  /// Namespace segments of the namespace containing \p T.
-  const std::vector<std::string> &namespaceSegmentsOf(TypeId T) const {
-    return nspace(type(T).Namespace).Segments;
+  /// min(NamespaceInfo::MaxPrefix, number of leading segments the
+  /// namespaces containing \p A and \p B share), by interned prefix ids.
+  int commonNamespacePrefix(TypeId A, TypeId B) const {
+    const auto &PA = nspace(type(A).Namespace).Prefix;
+    const auto &PB = nspace(type(B).Namespace).Prefix;
+    int K = 0;
+    while (static_cast<size_t>(K) != NamespaceInfo::MaxPrefix &&
+           isValidId(PA[K]) && PA[K] == PB[K])
+      ++K;
+    return K;
   }
 
   /// The number of parameters in the *call signature* of \p M: declared

@@ -7,8 +7,6 @@
 
 #include "rank/Ranking.h"
 
-#include "support/StrUtil.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -133,13 +131,24 @@ int Ranker::operandDistanceCost(TypeId A, TypeId B) const {
   return D ? *D : 0;
 }
 
-int Ranker::abstractArgCost(const Expr *Arg, MethodId M, size_t CallParamIdx,
-                            TypeId RecvTy) const {
+uint32_t Ranker::abstractVarOf(const Expr *E) const {
+  if (!Opts.UseAbstractTypes || !Infer || !Solution)
+    return AbstractTypeInference::NoVar;
+  return Infer->varOfExpr(E, ContextMethod);
+}
+
+int Ranker::abstractArgCostOfVar(uint32_t ArgVar, MethodId M,
+                                 size_t CallParamIdx, TypeId RecvTy) const {
   if (!Opts.UseAbstractTypes || !Infer || !Solution)
     return 0;
-  uint32_t ArgVar = Infer->varOfExpr(Arg, ContextMethod);
   uint32_t ParamVar = Infer->varOfCallParam(M, CallParamIdx, RecvTy);
   return Solution->sameAbstractType(ArgVar, ParamVar) ? 0 : 1;
+}
+
+bool Ranker::abstractArgCostVariesWithReceiver(MethodId M) const {
+  if (!Opts.UseAbstractTypes || !Infer || !Solution || TS.method(M).IsStatic)
+    return false;
+  return TS.method(Infer->baseDeclaration(M)).Owner == TS.objectType();
 }
 
 int Ranker::abstractOperandCost(const Expr *A, const Expr *B) const {
@@ -161,33 +170,24 @@ int Ranker::inScopeStaticCost(MethodId M) const {
   return InScopeStatic ? 0 : 1;
 }
 
+int Ranker::namespaceSimilarity(TypeId Owner, const Expr *Arg) const {
+  if (isa<DontCareExpr>(Arg) || !isValidId(Arg->type()) ||
+      TS.isPrimitiveLike(Arg->type()))
+    return -1;
+  return TS.commonNamespacePrefix(Owner, Arg->type());
+}
+
 int Ranker::namespaceCost(MethodId M, Span<const Expr *> CallArgs) const {
   if (!Opts.UseNamespace)
     return 0;
   // Common namespace prefix over the owner and all non-primitive argument
-  // types; similarity forced to 0 when <= 1 non-primitive argument.
-  const MethodInfo &MI = TS.method(M);
-  using NsPtr = const std::vector<std::string> *;
-  std::vector<NsPtr, ArenaAllocator<NsPtr>> ArgNss{
-      ArenaAllocator<NsPtr>(Scratch)};
-  for (const Expr *Arg : CallArgs) {
-    if (isa<DontCareExpr>(Arg) || !isValidId(Arg->type()))
-      continue;
-    if (TS.isPrimitiveLike(Arg->type()))
-      continue;
-    ArgNss.push_back(&TS.namespaceSegmentsOf(Arg->type()));
-  }
-  size_t Similarity = 0;
-  if (ArgNss.size() >= 2) {
-    const std::vector<std::string> &OwnerNs = TS.namespaceSegmentsOf(MI.Owner);
-    Similarity = OwnerNs.size();
-    for (const auto *Ns : ArgNss)
-      Similarity = std::min(Similarity, commonPrefixLength(OwnerNs, *Ns));
-    // The prefix must be common to all argument namespaces pairwise as
-    // well; since it is anchored at the owner prefix, the min above
-    // already bounds it.
-  }
-  return 3 - static_cast<int>(std::min<size_t>(3, Similarity));
+  // types. Each argument's prefix with the owner's bounds the prefix common
+  // to all of them, so the minimum over the arguments is that prefix.
+  TypeId Owner = TS.method(M).Owner;
+  NamespaceTally T;
+  for (const Expr *Arg : CallArgs)
+    T.add(namespaceSimilarity(Owner, Arg));
+  return namespaceCost(T);
 }
 
 int Ranker::compareNameCost(const Expr *L, const Expr *R) const {

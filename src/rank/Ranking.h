@@ -166,7 +166,22 @@ public:
   /// call-signature parameter of \p M (receiver type \p RecvTy selects
   /// Object-method specializations).
   int abstractArgCost(const Expr *Arg, MethodId M, size_t CallParamIdx,
-                      TypeId RecvTy) const;
+                      TypeId RecvTy) const {
+    return abstractArgCostOfVar(abstractVarOf(Arg), M, CallParamIdx, RecvTy);
+  }
+
+  /// The abstract-type variable of \p E at the query site (NoVar with the
+  /// term off), so a stream can look it up once per candidate.
+  uint32_t abstractVarOf(const Expr *E) const;
+
+  /// abstractArgCost for an argument whose variable is \p ArgVar.
+  int abstractArgCostOfVar(uint32_t ArgVar, MethodId M, size_t CallParamIdx,
+                           TypeId RecvTy) const;
+
+  /// True when abstractArgCost of \p M's declared parameters depends on
+  /// the receiver's type (an instance method declared on Object, whose
+  /// abstract types are specialized per receiver type).
+  bool abstractArgCostVariesWithReceiver(MethodId M) const;
 
   /// Abstract-type mismatch cost between two operand expressions.
   int abstractOperandCost(const Expr *A, const Expr *B) const;
@@ -181,10 +196,33 @@ public:
   /// plain vectors both pass without conversion.
   int namespaceCost(MethodId M, Span<const Expr *> CallArgs) const;
 
-  /// Both call tweaks summed (kept for callers that do not need the
-  /// per-term split).
-  int callExtrasCost(MethodId M, Span<const Expr *> CallArgs) const {
-    return inScopeStaticCost(M) + namespaceCost(M, CallArgs);
+  /// One call-signature argument's part in the namespace term of a call to
+  /// a method owned by \p Owner: -1 when \p Arg takes no part (don't-care,
+  /// untyped, primitive, or string), else how many leading namespace
+  /// segments its type shares with \p Owner's, capped at
+  /// NamespaceInfo::MaxPrefix. Fixed per (owner, argument), so streams
+  /// compute it once per candidate.
+  int namespaceSimilarity(TypeId Owner, const Expr *Arg) const;
+
+  /// Folds namespaceSimilarity values into the namespace term.
+  struct NamespaceTally {
+    int Count = 0; ///< arguments taking part
+    int Min = static_cast<int>(NamespaceInfo::MaxPrefix);
+    void add(int Sim) {
+      if (Sim < 0)
+        return;
+      ++Count;
+      Min = Sim < Min ? Sim : Min;
+    }
+  };
+
+  /// The namespace penalty of a tallied call: similarity is forced to 0
+  /// when at most one argument takes part; 0 with the term off.
+  int namespaceCost(const NamespaceTally &T) const {
+    if (!Opts.UseNamespace)
+      return 0;
+    return static_cast<int>(NamespaceInfo::MaxPrefix) -
+           (T.Count >= 2 ? T.Min : 0);
   }
 
   /// The matching-name penalty for a comparison of \p L and \p R.

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <functional>
 #include <istream>
 #include <ostream>
 
@@ -725,11 +726,20 @@ void PetalService::execOpenChange(SessionState &S, Task &T, bool IsChange) {
       IsChange ? S.Doc.get()
                : (Opts.Base ? nullptr : Opts.Snapshot.WarmStart.get());
   const AbortSignal *Sig = T.Ctl ? &T.Ctl->Sig : nullptr;
+  // Test hook: with test hooks on, an open or change naming a "holdGate"
+  // token is held at its build's after-parse phase boundary until that
+  // gate opens or the request is aborted, so a test can expire a deadline
+  // mid-build without racing the clock.
+  std::string HoldToken =
+      Opts.EnableTestHooks ? T.Params.getString("holdGate") : std::string();
+  std::function<void()> Hold;
+  if (!HoldToken.empty())
+    Hold = [&] { waitGate(HoldToken, Sig); };
   std::unique_ptr<DocumentState> Built;
   bool Threw = false;
   try {
     Built = buildDocumentState(S.Name, Text, Version, Opts.DocThreads,
-                               Error, Prev, Opts.Base, Sig);
+                               Error, Prev, Opts.Base, Sig, Hold);
   } catch (const InjectedFault &E) {
     // BuildThrow's recovery path: surviving with the session in a defined
     // state IS the recovery (DESIGN.md §15).
@@ -998,6 +1008,10 @@ void PetalService::execComplete(SessionState &S, Task &T) {
     std::lock_guard<std::mutex> L(StatsM);
     if (O.Stats.ScoreCeilingHit)
       ++ScoreCeilingHitCount;
+    ++EngineQueryCount;
+    CombosScoredCount += O.Stats.CombosScored;
+    ExprsMaterialisedCount += O.Stats.ExprsMaterialised;
+    BucketsScannedCount += O.Stats.BucketsScanned;
     if (O.Explained) {
       ++ExplainedCount;
       for (size_t I = 0; I != NumScoreTerms; ++I)
@@ -1020,8 +1034,8 @@ void PetalService::execComplete(SessionState &S, Task &T) {
   taskResult(T, std::move(R));
 }
 
-void PetalService::execBlock(Task &T) {
-  std::string Token = T.Params.getString("token");
+bool PetalService::waitGate(const std::string &Token,
+                            const AbortSignal *Sig) {
   std::shared_ptr<Gate> G;
   {
     std::lock_guard<std::mutex> L(M);
@@ -1033,19 +1047,23 @@ void PetalService::execBlock(Task &T) {
       G = It->second;
     }
   }
-  {
-    // Poll rather than wait unconditionally: an aborter (cancel, deadline,
-    // watchdog) cannot know which gate this task sits on, so the task
-    // itself must notice the signal and walk away.
-    std::unique_lock<std::mutex> GL(G->GM);
-    while (!G->Opened) {
-      if (T.Ctl && T.Ctl->Sig.aborted()) {
-        GL.unlock();
-        respondAborted(T, "$/test/block on '" + Token + "'");
-        return;
-      }
-      G->GCV.wait_for(GL, std::chrono::milliseconds(2));
-    }
+  // Poll rather than wait unconditionally: an aborter (cancel, deadline,
+  // watchdog) cannot know which gate this task sits on, so the task itself
+  // must notice the signal and walk away.
+  std::unique_lock<std::mutex> GL(G->GM);
+  while (!G->Opened) {
+    if (Sig && Sig->aborted())
+      return false;
+    G->GCV.wait_for(GL, std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+void PetalService::execBlock(Task &T) {
+  std::string Token = T.Params.getString("token");
+  if (!waitGate(Token, T.Ctl ? &T.Ctl->Sig : nullptr)) {
+    respondAborted(T, "$/test/block on '" + Token + "'");
+    return;
   }
   Value R = Value::object();
   R.set("released", Token);
@@ -1081,7 +1099,8 @@ json::Value PetalService::statsJson() {
     ExecutingNow = Executing.size();
   }
   uint64_t Received, Queries, Cancelled, Deadline, Stale, Errors, Builds,
-      BuildFails, Explained, CeilingHits, FullBuilds, IncBuilds, ReuseTS,
+      BuildFails, Explained, CeilingHits, EngineQueries, Scored,
+      Materialised, Scanned, FullBuilds, IncBuilds, ReuseTS,
       ReuseIdx, ReuseSol, Retained, WarmStarts, Evictions;
   uint64_t Shed, Abandoned, Isolated, Watchdogged, CancelledLive, Degraded;
   size_t OverlayBytes = 0;
@@ -1099,6 +1118,10 @@ json::Value PetalService::statsJson() {
     BuildFails = BuildFailCount;
     Explained = ExplainedCount;
     CeilingHits = ScoreCeilingHitCount;
+    EngineQueries = EngineQueryCount;
+    Scored = CombosScoredCount;
+    Materialised = ExprsMaterialisedCount;
+    Scanned = BucketsScannedCount;
     FullBuilds = FullBuildCount;
     IncBuilds = IncrementalBuildCount;
     ReuseTS = ReuseTypeSystemCount;
@@ -1156,6 +1179,17 @@ json::Value PetalService::statsJson() {
   R.set("builds", Builds);
   R.set("buildFailures", BuildFails);
   R.set("scoreCeilingHits", CeilingHits);
+
+  // What the engine enumerated, summed over the queries it answered:
+  // combinations scored, the expressions built for the ones drained, and
+  // score buckets filled across all streams. Completion payloads never
+  // carry these, so cached bytes do not depend on them.
+  Value EngineV = Value::object();
+  EngineV.set("queries", EngineQueries);
+  EngineV.set("combosScored", Scored);
+  EngineV.set("exprsMaterialised", Materialised);
+  EngineV.set("bucketsScanned", Scanned);
+  R.set("engine", std::move(EngineV));
 
   // Per-term cost aggregates over explained completions: the live
   // sensitivity view — which Fig. 7 terms are actually separating

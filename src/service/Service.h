@@ -127,8 +127,9 @@ public:
     /// Result cache capacity in entries; 0 disables caching.
     size_t CacheCapacity = 1024;
     /// Enables $/test/block and $/test/release, the deterministic
-    /// scheduling hooks the cancellation/deadline tests use. Off in
-    /// production daemons.
+    /// scheduling hooks the cancellation/deadline tests use, and the
+    /// "holdGate" parameter of petal/open and petal/change, which holds the
+    /// build at a phase boundary on that gate. Off in production daemons.
     bool EnableTestHooks = false;
     /// Snapshot warm-start state (default: no snapshot).
     SnapshotConfig Snapshot;
@@ -277,6 +278,9 @@ private:
   void execClose(SessionState &S, Task &T);
   void execComplete(SessionState &S, Task &T);
   void execBlock(Task &T);
+  /// Waits until test gate \p Token opens (true) or \p Sig aborts
+  /// (false), polling the signal every 2 ms.
+  bool waitGate(const std::string &Token, const AbortSignal *Sig);
   /// Responds to an aborted-in-flight task with the aborter's code (or
   /// DeadlineExceeded when the abort came from the deadline alone, which
   /// also counts as a deadline abandonment).
@@ -362,6 +366,12 @@ private:
   std::vector<double> BuildMs;
   uint64_t ExplainedCount = 0;     ///< queries answered with explain on
   uint64_t ScoreCeilingHitCount = 0; ///< queries the score ceiling cut short
+  /// Engine work summed over the queries the engine answered (cache
+  /// replays excluded): CompletionEngine::QueryStats' counters.
+  uint64_t EngineQueryCount = 0;
+  uint64_t CombosScoredCount = 0;
+  uint64_t ExprsMaterialisedCount = 0;
+  uint64_t BucketsScannedCount = 0;
   /// Summed per-term costs over every explained completion served (cache
   /// replays excluded — they repeat bytes, not work).
   std::array<uint64_t, NumScoreTerms> TermTotals{};

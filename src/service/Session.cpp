@@ -127,7 +127,8 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
                           int64_t Version, size_t DocThreads,
                           std::string &Error, const DocumentState *Prev,
                           std::shared_ptr<const BaseCorpus> Base,
-                          const AbortSignal *Abort) {
+                          const AbortSignal *Abort,
+                          const std::function<void()> &Hold) {
   auto Start = std::chrono::steady_clock::now();
   auto Doc = std::make_unique<DocumentState>();
   Doc->Name = Name;
@@ -158,6 +159,8 @@ petal::buildDocumentState(const std::string &Name, const std::string &Text,
   }
   Doc->Shape = shapeOfFile(File);
 
+  if (Hold)
+    Hold();
   if (Abort && Abort->aborted()) {
     Error = "build abandoned after parse (deadline or cancellation)";
     return nullptr;

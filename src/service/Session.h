@@ -44,6 +44,7 @@
 #include "support/Json.h"
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -146,13 +147,16 @@ struct DocumentState {
 /// \p Abort, when non-null, is polled at phase boundaries (after parse,
 /// after resolve); an aborted build stops early and returns null with
 /// \p Error noting the abandonment. The caller distinguishes abandonment
-/// from a genuine build failure by checking the signal itself.
+/// from a genuine build failure by checking the signal itself. \p Hold,
+/// when set, runs at the after-parse boundary just before that poll (the
+/// service's test gates hold builds there).
 std::unique_ptr<DocumentState>
 buildDocumentState(const std::string &Name, const std::string &Text,
                    int64_t Version, size_t DocThreads, std::string &Error,
                    const DocumentState *Prev = nullptr,
                    std::shared_ptr<const BaseCorpus> Base = nullptr,
-                   const AbortSignal *Abort = nullptr);
+                   const AbortSignal *Abort = nullptr,
+                   const std::function<void()> &Hold = {});
 
 /// Wraps a loaded snapshot as a query-ready DocumentState, the service's
 /// warm-start baseline: petal/open passes it to buildDocumentState as

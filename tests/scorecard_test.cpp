@@ -261,6 +261,9 @@ TEST_F(ExplainEngineTest, CeilingBoundsExplorationAndReportsTheHit) {
   ASSERT_LT(Bounded.size(), 500u);
   EXPECT_TRUE(Engine->lastQueryStats().ScoreCeilingHit);
   EXPECT_LE(Engine->lastQueryStats().LastBucket, 2);
+  // The next complete() frees this query's arena; keep Bounded's
+  // expressions alive for the comparison below.
+  std::unique_ptr<Arena> BoundedArena = Engine->takeQueryArena();
 
   // The ceiling-bound run is exactly the MaxScore-bound run at the same
   // cutoff.

@@ -391,7 +391,7 @@ TEST(IsolationTest, CancelRequestAbortsACurrentlyExecutingTask) {
 }
 
 TEST(IsolationTest, DeadlineAbandonedBuildLeavesSessionConsistent) {
-  InProcessClient C(testOptions(/*Workers=*/1));
+  InProcessClient C(testOptions(/*Workers=*/1, /*TestHooks=*/true));
   ASSERT_EQ(errorCode(C.call("petal/open",
                              openParams("geo.cs", corpora::GeometryCorpus,
                                         1))),
@@ -400,22 +400,14 @@ TEST(IsolationTest, DeadlineAbandonedBuildLeavesSessionConsistent) {
   Value Before = C.call("petal/complete", Q);
   ASSERT_EQ(errorCode(Before), 0);
 
-  // A v2 text big enough that its build cannot finish inside the deadline:
-  // the deadline passes the pickup check (the worker is idle), then
-  // expires at one of the build's phase boundaries. 800 filler classes
-  // built in about 8 ms once the type system stopped filling an N×N
-  // distance matrix, so the margin is now several times the deadline.
-  std::string Big(corpora::GeometryCorpus);
-  for (int I = 0; I != 4000; ++I) {
-    std::string N = std::to_string(I);
-    Big += "class Filler" + N + " {\n"
-           "  System.Windows.Point Origin" + N + ";\n"
-           "  DynamicGeometry.ShapeStyle Style" + N + ";\n"
-           "  void Touch" + N + "(System.Windows.Point p) { return; }\n"
-           "}\n";
-  }
-  Value Change = openParams("geo.cs", Big, 2);
-  Change.set("deadlineMs", 10.0);
+  // The v2 build is held at its after-parse phase boundary on a gate
+  // nobody opens, so the deadline passes the pickup check (the worker is
+  // idle) and then expires mid-build, however fast the build is.
+  std::string V2 = std::string(corpora::GeometryCorpus) +
+                   "class Filler {\n  System.Windows.Point Origin;\n}\n";
+  Value Change = openParams("geo.cs", V2, 2);
+  Change.set("deadlineMs", 100.0);
+  Change.set("holdGate", "hold-v2-build");
   Value Resp = C.call("petal/change", std::move(Change));
   EXPECT_EQ(errorCode(Resp), rpc::DeadlineExceeded) << Resp.write();
   EXPECT_NE(errorMessage(Resp).find("abandoned"), std::string::npos)

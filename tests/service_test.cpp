@@ -255,6 +255,35 @@ TEST(ServiceTest, CacheHitIsByteIdenticalAndCounted) {
   EXPECT_EQ(Stats.getInt("queries", -1), 2);
 }
 
+TEST(ServiceTest, StatsSumEngineCountersOfAnsweredQueries) {
+  InProcessClient C(testOptions());
+  C.call("petal/open", openParams("geo.cs", corpora::GeometryCorpus, 1));
+
+  Value Args =
+      completeParams("geo.cs", "EllipseArc", "Examine", "Distance(point, ?)");
+  Value First = C.call("petal/complete", Args);
+  ASSERT_EQ(errorCode(First), 0);
+  C.call("petal/complete",
+         completeParams("geo.cs", "EllipseArc", "Examine", "?({point})"));
+  // A cache replay repeats bytes, not engine work.
+  Value Replay = C.call("petal/complete", Args);
+  EXPECT_EQ(First.find("result")->write(), Replay.find("result")->write());
+  // The counters stay out of completion payloads.
+  EXPECT_EQ(First.find("result")->write().find("combosScored"),
+            std::string::npos);
+
+  Value Stats = C.callResult("$/stats", Value::object());
+  const Value *Engine = Stats.find("engine");
+  ASSERT_NE(Engine, nullptr);
+  EXPECT_EQ(Engine->getInt("queries", -1), 2);
+  int64_t Scored = Engine->getInt("combosScored", -1);
+  int64_t Materialised = Engine->getInt("exprsMaterialised", -1);
+  EXPECT_GT(Scored, 0);
+  EXPECT_GT(Materialised, 0);
+  EXPECT_LE(Materialised, Scored);
+  EXPECT_GT(Engine->getInt("bucketsScanned", -1), 0);
+}
+
 TEST(ServiceTest, DifferentOptionsMissTheCache) {
   InProcessClient C(testOptions());
   C.call("petal/open", openParams("geo.cs", corpora::GeometryCorpus, 1));
